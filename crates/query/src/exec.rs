@@ -9,10 +9,11 @@ use tempora_core::{
     AttrName, CoreError, Element, ElementId, ObjectId, RelationSchema, Stamping, ValidTime, Value,
 };
 use tempora_index::{select_index, IndexChoice, IntervalIndex, PointIndex};
-use tempora_storage::{BatchRecord, BatchReport, Enforcement, TemporalRelation};
+use tempora_storage::{BatchRecord, BatchReport, ElementChunks, Enforcement, TemporalRelation};
 
 use crate::optimizer::plan_query_annotated;
 use crate::plan::{AnnotatedPlan, Plan, Query, Residual};
+use crate::snapshot::{clamp_to_pin, pinned_predicate};
 
 /// Execution statistics: the asymptotic story benches report alongside
 /// wall-clock time.
@@ -256,105 +257,14 @@ impl IndexedRelation {
     }
 
     fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
-        let strategy = plan.strategy_name();
-        let _span = tempora_obs::span_with("query-execute", strategy);
-        let sw = tempora_obs::Stopwatch::start();
-        let mut examined = 0usize;
-        let mut elements: Vec<Element> = Vec::new();
-        let predicate: Box<dyn Fn(&Element) -> bool> = match residual {
-            Residual::Full => query_predicate(query),
-            Residual::CurrencyOnly => Box::new(Element::is_current),
-        };
-
-        match plan {
-            Plan::FullScan => {
-                for e in self.relation.iter() {
-                    examined += 1;
-                    if predicate(e) {
-                        elements.push(e.clone());
-                    }
-                }
-            }
-            Plan::TtPrefixScan { tt } => {
-                for e in self.relation.iter_at(tt) {
-                    examined += 1;
-                    if predicate(e) {
-                        elements.push(e.clone());
-                    }
-                }
-            }
-            Plan::ObjectScan { object } => {
-                for e in self.relation.iter_object_history(object) {
-                    examined += 1;
-                    elements.push(e.clone());
-                }
-            }
-            Plan::AppendOrderSearch { from, to } => {
-                if let Some(run) = self.relation.vt_ordered_slice(from, to) {
-                    for e in run {
-                        examined += 1;
-                        if predicate(e) {
-                            elements.push(e.clone());
-                        }
-                    }
-                }
-            }
-            Plan::TtWindowScan { band, from, to } => {
-                let (lo_edge, hi_edge) =
-                    tt_window_edges(self.relation.schema(), query, band, from, to);
-                for e in self.relation.tt_range(lo_edge, hi_edge) {
-                    examined += 1;
-                    if predicate(e) {
-                        elements.push(e.clone());
-                    }
-                }
-            }
-            Plan::PointProbe { from, to } => {
-                for id in self.point.range(from, to) {
-                    examined += 1;
-                    if let Some(e) = self.relation.get(id) {
-                        if predicate(e) {
-                            elements.push(e.clone());
-                        }
-                    }
-                }
-            }
-            Plan::IntervalProbe { from, to } => {
-                let hits = if to == from.saturating_add(TimeDelta::RESOLUTION) {
-                    self.interval.stab(from)
-                } else {
-                    match tempora_time::Interval::new(from, to) {
-                        Ok(q) => self.interval.overlapping(q),
-                        Err(_) => Vec::new(),
-                    }
-                };
-                for id in hits {
-                    examined += 1;
-                    if let Some(e) = self.relation.get(id) {
-                        if predicate(e) {
-                            elements.push(e.clone());
-                        }
-                    }
-                }
-            }
-            Plan::EmptyScan => {}
-        }
-        // Per-operator execution latency, keyed by the plan's strategy
-        // name (`tempora_query_exec_seconds{operator=…}`).
-        sw.record(&tempora_obs::histogram_with(
-            "tempora_query_exec_seconds",
-            "operator",
-            strategy,
-        ));
-        let returned = elements.len();
-        QueryResult {
+        let elements = self.relation.elements();
+        let view = View {
+            schema: self.relation.schema(),
             elements,
-            stats: ExecStats {
-                examined,
-                returned,
-                strategy,
-            },
-        }
+            pin: Timestamp::MAX,
+            visible: elements.len(),
+        };
+        view.run(query, plan, residual, Some(self))
     }
 }
 
@@ -370,9 +280,8 @@ impl fmt::Debug for IndexedRelation {
 /// The transaction-time window `[lo, hi]` a [`Plan::TtWindowScan`] probes:
 /// the valid-time probe translated through the declared offset band, with
 /// the interval-duration floor for interval stamps and the as-of clip for
-/// bitemporal queries. Shared by the live executor and the snapshot
-/// executor so both scan the same window.
-pub(crate) fn tt_window_edges(
+/// bitemporal queries.
+fn tt_window_edges(
     schema: &RelationSchema,
     query: Query,
     band: tempora_core::region::OffsetBand,
@@ -405,19 +314,133 @@ pub(crate) fn tt_window_edges(
     (lo_edge, hi_edge)
 }
 
-/// The logical predicate a query asks of each element (the residual filter
-/// every plan applies so answers stay exact whatever the strategy).
-fn query_predicate(query: Query) -> Box<dyn Fn(&Element) -> bool> {
-    match query {
-        Query::Current => Box::new(Element::is_current),
-        Query::Rollback { tt } => Box::new(move |e| e.existed_at(tt)),
-        Query::Timeslice { vt } => Box::new(move |e| e.is_current() && e.valid.covers(vt)),
-        Query::TimesliceRange { from, to } => Box::new(move |e| {
-            e.is_current() && e.valid.begin() < to && (e.valid.end() > from || e.valid.begin() >= from)
-        }),
-        Query::ObjectHistory { object } => Box::new(move |e| e.object == object),
-        Query::Bitemporal { tt, vt } => {
-            Box::new(move |e| e.existed_at(tt) && e.valid.covers(vt))
+/// The tt-ordered element view a plan runs over, pinned at a transaction
+/// tick: the live relation's store read in place at [`Timestamp::MAX`]
+/// (under which `existed_at` is `is_current` for every stored element), or
+/// a snapshot's chunks at its pin. Live and pinned reads share this one
+/// plan loop and one predicate.
+pub(crate) struct View<'a> {
+    pub(crate) schema: &'a RelationSchema,
+    pub(crate) elements: &'a ElementChunks,
+    pub(crate) pin: Timestamp,
+    /// Number of leading elements with `tt_b ≤ pin` — the visible prefix.
+    pub(crate) visible: usize,
+}
+
+impl View<'_> {
+    /// Executes `plan` for `query`. The maintained point index, interval
+    /// tree and per-object partitions exist only on the live relation
+    /// (`live`); without them those plans scan the visible prefix, and
+    /// the index probes report `snapshot-scan`.
+    pub(crate) fn run(
+        &self,
+        query: Query,
+        plan: Plan,
+        residual: Residual,
+        live: Option<&IndexedRelation>,
+    ) -> QueryResult {
+        let (span, strategy) = match (plan, live) {
+            (_, Some(_)) => ("query-execute", plan.strategy_name()),
+            (Plan::PointProbe { .. } | Plan::IntervalProbe { .. }, None) => {
+                ("snapshot-query-execute", "snapshot-scan")
+            }
+            (_, None) => ("snapshot-query-execute", plan.strategy_name()),
+        };
+        let _span = tempora_obs::span_with(span, strategy);
+        let sw = tempora_obs::Stopwatch::start();
+        let pin = self.pin;
+        // The residual a plan leaves: the query's own predicate, or just
+        // currency for a proven valid-time slice. An object scan's filter
+        // is its object alone (deleted elements stay in a life-line).
+        // Called through a trait object: with the predicate's match inlined
+        // into the scan, the 100 000-row pinned scan of `scan_probe`
+        // measured 7–15 % slower (2-vCPU x86-64 Xeon).
+        let keep: &dyn Fn(&Element) -> bool = &pinned_predicate(
+            match (plan, residual) {
+                (Plan::ObjectScan { object }, _) => Query::ObjectHistory { object },
+                (_, Residual::Full) => query,
+                (_, Residual::CurrencyOnly) => Query::Current,
+            },
+            pin,
+        );
+        let mut examined = 0usize;
+        let mut elements: Vec<Element> = Vec::new();
+        let mut take = |e: &Element| {
+            examined += 1;
+            if keep(e) {
+                elements.push(clamp_to_pin(e, pin));
+            }
+        };
+        let prefix = |tt: Timestamp| self.elements.partition_point(|e| e.tt_begin <= tt);
+        let ordered = self.schema.is_degenerate() || self.schema.is_vt_ordered();
+
+        // Live-only arms walk their index and scan nothing; every other
+        // plan is one run of positions in the tt-ordered view.
+        let scan = match (plan, live) {
+            (Plan::PointProbe { from, to }, Some(rel)) => {
+                let hits = rel.point.range(from, to);
+                hits.filter_map(|id| rel.relation.get(id))
+                    .for_each(&mut take);
+                0..0
+            }
+            (Plan::IntervalProbe { from, to }, Some(rel)) => {
+                let hits = if to == from.saturating_add(TimeDelta::RESOLUTION) {
+                    rel.interval.stab(from)
+                } else {
+                    match tempora_time::Interval::new(from, to) {
+                        Ok(q) => rel.interval.overlapping(q),
+                        Err(_) => Vec::new(),
+                    }
+                };
+                hits.into_iter()
+                    .filter_map(|id| rel.relation.get(id))
+                    .for_each(&mut take);
+                0..0
+            }
+            (Plan::ObjectScan { object }, Some(rel)) => {
+                rel.relation.iter_object_history(object).for_each(&mut take);
+                0..0
+            }
+            (Plan::AppendOrderSearch { from, to }, _) if ordered => {
+                // The base order is also valid-time order; binary search
+                // the run, clipped to the visible prefix.
+                let lo = self.elements.partition_point(|e| e.valid.begin() < from);
+                let hi = self.elements.partition_point(|e| e.valid.begin() < to);
+                lo.min(self.visible)..hi.min(self.visible)
+            }
+            (
+                Plan::FullScan
+                | Plan::PointProbe { .. }
+                | Plan::IntervalProbe { .. }
+                | Plan::ObjectScan { .. }
+                | Plan::AppendOrderSearch { .. },
+                _,
+            ) => 0..self.visible,
+            (Plan::TtPrefixScan { tt }, _) => 0..prefix(tt.min(pin)),
+            (Plan::TtWindowScan { band, from, to }, _) => {
+                let (lo_edge, hi_edge) = tt_window_edges(self.schema, query, band, from, to);
+                // Elements stored after the pin are invisible regardless
+                // of the window.
+                self.elements.partition_point(|e| e.tt_begin < lo_edge)..prefix(hi_edge.min(pin))
+            }
+            (Plan::EmptyScan, _) => 0..0,
+        };
+        self.elements.range(scan).for_each(take);
+        // Per-operator execution latency, keyed by the plan's strategy
+        // name (`tempora_query_exec_seconds{operator=…}`).
+        sw.record(&tempora_obs::histogram_with(
+            "tempora_query_exec_seconds",
+            "operator",
+            strategy,
+        ));
+        let returned = elements.len();
+        QueryResult {
+            elements,
+            stats: ExecStats {
+                examined,
+                returned,
+                strategy,
+            },
         }
     }
 }

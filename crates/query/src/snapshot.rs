@@ -10,13 +10,16 @@
 //! after the pin are undone (their `tt_end` is clamped back to "current").
 //!
 //! Queries reuse the specialization-driven planner
-//! ([`crate::plan_query_annotated`]); plans that need a maintained
-//! auxiliary index (point probe, interval stab) degrade to a prefix scan,
-//! while order-exploiting plans (tt-prefix, tt-window, append-order
-//! search) keep their binary searches — those need only the base order,
-//! which the view preserves. The executor takes no locks and touches no
-//! shared mutable state: a server thread can run it while ingest batches
-//! apply and WAL appends proceed.
+//! ([`crate::plan_query_annotated`]) and the live executor's plan loop and
+//! predicate: a live read is the same loop pinned at the newest state
+//! (snapshot reducibility), so the two cannot drift apart. Plans that need
+//! a maintained auxiliary index (point probe, interval stab) or the
+//! per-object partitions degrade to a prefix scan, while order-exploiting
+//! plans (tt-prefix, tt-window, append-order search) keep their binary
+//! searches — those need only the base order, which the view preserves,
+//! in either store mode. The executor takes no locks and touches no shared
+//! mutable state: a server thread can run it while ingest batches apply
+//! and WAL appends proceed.
 
 use std::sync::Arc;
 
@@ -25,9 +28,9 @@ use tempora_time::Timestamp;
 use tempora_core::{Element, RelationSchema};
 use tempora_storage::ElementChunks;
 
-use crate::exec::{tt_window_edges, ExecStats, QueryResult};
+use crate::exec::{QueryResult, View};
 use crate::optimizer::plan_query_annotated;
-use crate::plan::{Plan, Query, Residual};
+use crate::plan::Query;
 
 /// An immutable view of one relation pinned at a transaction tick.
 ///
@@ -97,98 +100,19 @@ impl SnapshotRelation {
     #[must_use]
     pub fn execute(&self, query: Query) -> QueryResult {
         let annotated = plan_query_annotated(&self.schema, query);
-        self.run(query, annotated.plan, annotated.residual)
-    }
-
-    fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
-        // Index-backed probes have no index in a snapshot; they degrade
-        // to the visible-prefix scan and are reported as such.
-        let strategy = match plan {
-            Plan::PointProbe { .. } | Plan::IntervalProbe { .. } => "snapshot-scan",
-            _ => plan.strategy_name(),
+        let view = View {
+            schema: &self.schema,
+            elements: &self.elements,
+            pin: self.pin,
+            visible: self.visible,
         };
-        let _span = tempora_obs::span_with("snapshot-query-execute", strategy);
-        let sw = tempora_obs::Stopwatch::start();
-        let pin = self.pin;
-        let mut examined = 0usize;
-        let mut elements: Vec<Element> = Vec::new();
-        let predicate: Box<dyn Fn(&Element) -> bool> = match (plan, residual) {
-            // An object scan has no partition map in a view; the filtered
-            // prefix scan below relies on the object filter being the
-            // whole predicate (deleted elements stay in a life-line).
-            (Plan::ObjectScan { object }, _) => Box::new(move |e| e.object == object),
-            (_, Residual::Full) => pinned_predicate(query, pin),
-            (_, Residual::CurrencyOnly) => Box::new(move |e| e.existed_at(pin)),
-        };
-        let mut scan = |range: std::ops::Range<usize>, examined: &mut usize| {
-            for e in self.elements.range(range) {
-                *examined += 1;
-                if predicate(e) {
-                    elements.push(clamp_to_pin(e, pin));
-                }
-            }
-        };
-
-        match plan {
-            Plan::FullScan | Plan::PointProbe { .. } | Plan::IntervalProbe { .. } => {
-                scan(0..self.visible, &mut examined);
-            }
-            Plan::TtPrefixScan { tt } => {
-                let eff = tt.min(pin);
-                let cut = self.elements.partition_point(|e| e.tt_begin <= eff);
-                scan(0..cut, &mut examined);
-            }
-            Plan::ObjectScan { .. } => {
-                scan(0..self.visible, &mut examined);
-            }
-            Plan::AppendOrderSearch { from, to } => {
-                if self.schema.is_degenerate() || self.schema.is_vt_ordered() {
-                    // The base order is also valid-time order; binary
-                    // search the run, clipped to the visible prefix.
-                    let lo = self
-                        .elements
-                        .partition_point(|e| e.valid.begin() < from)
-                        .min(self.visible);
-                    let hi = self
-                        .elements
-                        .partition_point(|e| e.valid.begin() < to)
-                        .min(self.visible);
-                    scan(lo..hi, &mut examined);
-                } else {
-                    scan(0..self.visible, &mut examined);
-                }
-            }
-            Plan::TtWindowScan { band, from, to } => {
-                let (lo_edge, hi_edge) = tt_window_edges(&self.schema, query, band, from, to);
-                // Elements stored after the pin are invisible regardless
-                // of the window.
-                let hi_edge = hi_edge.min(pin);
-                let start = self.elements.partition_point(|e| e.tt_begin < lo_edge);
-                let end = self.elements.partition_point(|e| e.tt_begin <= hi_edge);
-                scan(start..end, &mut examined);
-            }
-            Plan::EmptyScan => {}
-        }
-        sw.record(&tempora_obs::histogram_with(
-            "tempora_query_exec_seconds",
-            "operator",
-            strategy,
-        ));
-        let returned = elements.len();
-        QueryResult {
-            elements,
-            stats: ExecStats {
-                examined,
-                returned,
-                strategy,
-            },
-        }
+        view.run(query, annotated.plan, annotated.residual, None)
     }
 }
 
 /// An element as the pinned image stored it: a deletion stamped after the
 /// pin had not happened yet, so the clamped element is current.
-fn clamp_to_pin(e: &Element, pin: Timestamp) -> Element {
+pub(crate) fn clamp_to_pin(e: &Element, pin: Timestamp) -> Element {
     let mut clamped = e.clone();
     if clamped.tt_end.is_some_and(|d| d > pin) {
         clamped.tt_end = None;
@@ -196,27 +120,23 @@ fn clamp_to_pin(e: &Element, pin: Timestamp) -> Element {
     clamped
 }
 
-/// The query predicate evaluated against the *pinned* image: currency
-/// means "current as of the pin", and rollback/as-of instants after the
-/// pin see exactly the pin state (nothing newer exists in the view).
-fn pinned_predicate(query: Query, pin: Timestamp) -> Box<dyn Fn(&Element) -> bool> {
-    match query {
-        Query::Current => Box::new(move |e| e.existed_at(pin)),
-        Query::Rollback { tt } => {
-            let eff = tt.min(pin);
-            Box::new(move |e| e.existed_at(eff))
-        }
-        Query::Timeslice { vt } => Box::new(move |e| e.existed_at(pin) && e.valid.covers(vt)),
-        Query::TimesliceRange { from, to } => Box::new(move |e| {
+/// The logical predicate a query asks of each element, evaluated against
+/// the image at `pin` (the residual filter every plan applies so answers
+/// stay exact whatever the strategy): currency means "current as of the
+/// pin", and rollback/as-of instants after the pin see exactly the pin
+/// state. At [`Timestamp::MAX`] this is the live predicate.
+pub(crate) fn pinned_predicate(query: Query, pin: Timestamp) -> impl Fn(&Element) -> bool {
+    move |e| match query {
+        Query::Current => e.existed_at(pin),
+        Query::Rollback { tt } => e.existed_at(tt.min(pin)),
+        Query::Timeslice { vt } => e.existed_at(pin) && e.valid.covers(vt),
+        Query::TimesliceRange { from, to } => {
             e.existed_at(pin)
                 && e.valid.begin() < to
                 && (e.valid.end() > from || e.valid.begin() >= from)
-        }),
-        Query::ObjectHistory { object } => Box::new(move |e| e.object == object),
-        Query::Bitemporal { tt, vt } => {
-            let eff = tt.min(pin);
-            Box::new(move |e| e.existed_at(eff) && e.valid.covers(vt))
         }
+        Query::ObjectHistory { object } => e.object == object,
+        Query::Bitemporal { tt, vt } => e.existed_at(tt.min(pin)) && e.valid.covers(vt),
     }
 }
 
@@ -247,66 +167,112 @@ mod tests {
 
     #[test]
     fn snapshot_answers_match_live_answers_at_the_pin() {
-        let schema = RelationSchema::builder("r", Stamping::Event).build().unwrap();
-        let clock = Arc::new(ManualClock::new(ts(0)));
-        let mut rel = IndexedRelation::new(schema, clock.clone());
-        let mut ids = Vec::new();
-        for i in 0..200_i64 {
-            clock.set(ts(i * 10 + 10));
-            ids.push(rel.insert(ObjectId::new(1 + (i as u64 % 5)), ts(i * 7), vec![]).unwrap());
-        }
-        clock.set(ts(5_000));
-        rel.delete(ids[3]).unwrap();
-        let pin = clock.now();
-        let snap = snapshot_of(&rel, pin);
-
-        // Mutate the live relation *after* the pin.
-        clock.set(ts(6_000));
-        rel.delete(ids[7]).unwrap();
-        clock.set(ts(6_010));
-        rel.insert(ObjectId::new(1), ts(9_999), vec![]).unwrap();
-
-        // Live answers at the pin are rollbacks; snapshot answers are the
-        // same sets even though "current" differs live.
-        for q in [
-            Query::Current,
-            Query::Rollback { tt: ts(500) },
-            Query::Rollback { tt: ts(9_999) },
-            Query::Timeslice { vt: ts(7 * 50) },
-            Query::TimesliceRange { from: ts(100), to: ts(400) },
-            Query::ObjectHistory { object: ObjectId::new(2) },
-            Query::Bitemporal { tt: ts(1_000), vt: ts(7 * 50) },
-        ] {
-            let from_snap = snap.execute(q);
-            // The live oracle: replay the same predicate against the
-            // pinned prefix by hand.
-            let expected: Vec<ElementId> = rel
-                .relation()
+        use tempora_core::spec::interevent::OrderingSpec;
+        use tempora_core::Basis;
+        // Both store modes: the general store (point index live,
+        // `snapshot-scan` pinned) and the ordered one (append-order
+        // search on both paths). Valid times satisfy each schema.
+        let general = RelationSchema::builder("r", Stamping::Event)
+            .build()
+            .unwrap();
+        let sequential = RelationSchema::builder("s", Stamping::Event)
+            .ordering(OrderingSpec::GloballySequential, Basis::PerRelation)
+            .build()
+            .unwrap();
+        let general_vt: fn(i64) -> i64 = |i| i * 7;
+        let sequential_vt: fn(i64) -> i64 = |i| i * 10 + 10;
+        for (schema, vt_of) in [(general, general_vt), (sequential, sequential_vt)] {
+            let ordered = schema.is_vt_ordered();
+            let clock = Arc::new(ManualClock::new(ts(0)));
+            let mut rel = IndexedRelation::new(schema, clock.clone());
+            let mut ids = Vec::new();
+            for i in 0..200_i64 {
+                clock.set(ts(i * 10 + 10));
+                ids.push(
+                    rel.insert(ObjectId::new(1 + (i as u64 % 5)), ts(vt_of(i)), vec![])
+                        .unwrap(),
+                );
+            }
+            clock.set(ts(5_000));
+            rel.delete(ids[3]).unwrap();
+            let pin = clock.now();
+            let snap = snapshot_of(&rel, pin);
+            let queries = [
+                Query::Current,
+                Query::Rollback { tt: ts(500) },
+                Query::Rollback { tt: ts(9_999) },
+                Query::Timeslice { vt: ts(7 * 50) },
+                Query::TimesliceRange {
+                    from: ts(100),
+                    to: ts(400),
+                },
+                Query::ObjectHistory {
+                    object: ObjectId::new(2),
+                },
+                Query::Bitemporal {
+                    tt: ts(1_000),
+                    vt: ts(7 * 50),
+                },
+            ];
+            // The live executor's answers while the pin is still the
+            // newest state.
+            let live: Vec<Vec<ElementId>> = queries
                 .iter()
-                .filter(|e| e.tt_begin <= pin)
-                .map(|e| {
-                    let mut c = (*e).clone();
-                    if c.tt_end.is_some_and(|d| d > pin) {
-                        c.tt_end = None;
-                    }
-                    c
-                })
-                .filter(|e| pinned_predicate(q, pin)(e))
-                .map(|e| e.id)
+                .map(|q| sorted_ids(&rel.execute(*q).elements))
                 .collect();
-            let mut expected = expected;
-            expected.sort();
-            assert_eq!(sorted_ids(&from_snap.elements), expected, "query {q}");
+
+            // Mutate the live relation *after* the pin.
+            clock.set(ts(6_000));
+            rel.delete(ids[7]).unwrap();
+            clock.set(ts(6_010));
+            rel.insert(ObjectId::new(1), ts(9_999), vec![]).unwrap();
+
+            // Live answers at the pin are rollbacks; snapshot answers are
+            // the same sets even though "current" differs live.
+            for (q, live) in queries.into_iter().zip(live) {
+                let from_snap = snap.execute(q);
+                // The live oracle: replay the same predicate against the
+                // pinned prefix by hand.
+                let expected: Vec<ElementId> = rel
+                    .relation()
+                    .iter()
+                    .filter(|e| e.tt_begin <= pin)
+                    .map(|e| {
+                        let mut c = (*e).clone();
+                        if c.tt_end.is_some_and(|d| d > pin) {
+                            c.tt_end = None;
+                        }
+                        c
+                    })
+                    .filter(|e| pinned_predicate(q, pin)(e))
+                    .map(|e| e.id)
+                    .collect();
+                let mut expected = expected;
+                expected.sort();
+                assert_eq!(
+                    sorted_ids(&from_snap.elements),
+                    expected,
+                    "query {q}, ordered {ordered}"
+                );
+                assert_eq!(
+                    sorted_ids(&from_snap.elements),
+                    live,
+                    "query {q}, ordered {ordered}"
+                );
+            }
+            // Post-pin writes are invisible.
+            assert!(snap
+                .execute(Query::Current)
+                .elements
+                .iter()
+                .all(|e| e.valid.begin() != ts(9_999)));
+            // The element deleted after the pin reads as current in the view.
+            let cur = snap.execute(Query::Current);
+            assert!(cur
+                .elements
+                .iter()
+                .any(|e| e.id == ids[7] && e.is_current()));
         }
-        // Post-pin writes are invisible.
-        assert!(snap
-            .execute(Query::Current)
-            .elements
-            .iter()
-            .all(|e| e.valid.begin() != ts(9_999)));
-        // The element deleted after the pin reads as current in the view.
-        let cur = snap.execute(Query::Current);
-        assert!(cur.elements.iter().any(|e| e.id == ids[7] && e.is_current()));
     }
 
     #[test]

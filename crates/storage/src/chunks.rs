@@ -13,9 +13,10 @@
 //!
 //! The result, [`ElementChunks`], is an immutable view that outlives any
 //! lock: snapshot queries execute against it without blocking ingest, and
-//! ingest never blocks them.
+//! ingest never blocks them. The live store dereferences to the same view
+//! type, so live and pinned reads share one set of positional reads.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use tempora_core::Element;
@@ -30,15 +31,10 @@ pub const CHUNK_CAP: usize = 1024;
 /// Append-mostly element storage in copy-on-write chunks.
 ///
 /// Maintains the same ordering contract as a plain `Vec<Element>` held in
-/// `tt_b` order; all binary searches work on global positions.
+/// `tt_b` order; all binary searches work on global positions. Reads go
+/// through the [`ElementChunks`] view it dereferences to.
 #[derive(Debug, Default, Clone)]
-pub struct ChunkedElements {
-    /// Sealed chunks of exactly [`CHUNK_CAP`] elements each, shared with
-    /// any live snapshots.
-    sealed: Vec<Arc<Vec<Element>>>,
-    /// The open tail chunk (never longer than [`CHUNK_CAP`]).
-    tail: Vec<Element>,
-}
+pub struct ChunkedElements(ElementChunks);
 
 impl ChunkedElements {
     /// Empty storage.
@@ -47,112 +43,46 @@ impl ChunkedElements {
         ChunkedElements::default()
     }
 
-    /// Total number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sealed.len() * CHUNK_CAP + self.tail.len()
-    }
-
-    /// Whether no element was ever stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
-    }
-
-    /// Appends an element; seals the tail chunk when it reaches capacity
-    /// (a pointer move, not a copy).
+    /// Appends an element, opening a new tail chunk when the current one
+    /// is full.
     pub fn push(&mut self, element: Element) {
-        self.tail.push(element);
-        if self.tail.len() == CHUNK_CAP {
-            let full = std::mem::take(&mut self.tail);
-            self.sealed.push(Arc::new(full));
+        let view = &mut self.0;
+        match view.chunks.last_mut() {
+            Some(tail) if tail.len() < CHUNK_CAP => Arc::make_mut(tail).push(element),
+            _ => {
+                let mut tail = Vec::with_capacity(CHUNK_CAP);
+                tail.push(element);
+                view.chunks.push(Arc::new(tail));
+            }
         }
-    }
-
-    /// The element at global position `index`.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<&Element> {
-        let sealed_len = self.sealed.len() * CHUNK_CAP;
-        if index < sealed_len {
-            Some(&self.sealed[index / CHUNK_CAP][index % CHUNK_CAP])
-        } else {
-            self.tail.get(index - sealed_len)
-        }
+        view.len += 1;
     }
 
     /// Mutable access at global position `index`. If the chunk is shared
     /// with a snapshot this copies that one chunk first (copy-on-write);
     /// the snapshot keeps the original.
     pub fn get_mut(&mut self, index: usize) -> Option<&mut Element> {
-        let sealed_len = self.sealed.len() * CHUNK_CAP;
-        if index < sealed_len {
-            let chunk = Arc::make_mut(&mut self.sealed[index / CHUNK_CAP]);
-            chunk.get_mut(index % CHUNK_CAP)
-        } else {
-            self.tail.get_mut(index - sealed_len)
+        if index >= self.0.len {
+            return None;
         }
-    }
-
-    /// The most recently appended element.
-    #[must_use]
-    pub fn last(&self) -> Option<&Element> {
-        self.tail
-            .last()
-            .or_else(|| self.sealed.last().and_then(|c| c.last()))
-    }
-
-    /// All elements in append order.
-    pub fn iter(&self) -> impl Iterator<Item = &Element> + '_ {
-        self.sealed
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
-    }
-
-    /// Elements in the global position range (chunk-aware; skipping to
-    /// `range.start` is index math, not iteration).
-    pub fn range(&self, range: Range<usize>) -> impl Iterator<Item = &Element> + '_ {
-        let len = self.len();
-        let start = range.start.min(len);
-        let end = range.end.min(len).max(start);
-        (start..end).map(move |i| self.get(i).expect("index in bounds"))
-    }
-
-    /// The first position for which `pred` is false, assuming the
-    /// elements are partitioned (all `true` before all `false`) — the
-    /// chunked analogue of [`slice::partition_point`].
-    #[must_use]
-    pub fn partition_point(&self, pred: impl Fn(&Element) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.get(mid).expect("mid in bounds")) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        Arc::make_mut(&mut self.0.chunks[index / CHUNK_CAP]).get_mut(index % CHUNK_CAP)
     }
 
     /// An immutable view of the current contents: sealed chunks are
-    /// shared by pointer, the open tail is copied (bounded by
-    /// [`CHUNK_CAP`]). Cost is O(chunks + tail), independent of element
-    /// count in the sealed region.
+    /// shared by pointer, a partly filled tail is copied (bounded by
+    /// [`CHUNK_CAP`]) so later appends never copy on write. Cost is
+    /// O(chunks + tail), independent of element count in the sealed
+    /// region.
     #[must_use]
     pub fn snapshot(&self) -> ElementChunks {
-        let mut chunks = self.sealed.clone();
-        if !self.tail.is_empty() {
-            chunks.push(Arc::new(self.tail.clone()));
+        let mut view = self.0.clone();
+        if let Some(tail) = view.chunks.last_mut().filter(|t| t.len() < CHUNK_CAP) {
+            *tail = Arc::new(Vec::clone(tail));
         }
-        ElementChunks {
-            len: self.len(),
-            chunks,
-        }
+        view
     }
 
-    /// Rebuilds from a plain ordered vector (vacuum uses this after
-    /// physically reclaiming elements).
+    /// Builds from a plain ordered vector.
     #[must_use]
     pub fn from_vec(elements: Vec<Element>) -> Self {
         let mut built = ChunkedElements::new();
@@ -163,23 +93,34 @@ impl ChunkedElements {
     }
 }
 
+impl Deref for ChunkedElements {
+    type Target = ElementChunks;
+
+    fn deref(&self) -> &ElementChunks {
+        &self.0
+    }
+}
+
 /// An immutable, cheaply cloneable view over element chunks — what a
-/// pinned snapshot reads. All chunks except the last hold exactly
-/// [`CHUNK_CAP`] elements, so positional access stays O(1).
+/// pinned snapshot reads, and what the live store dereferences to. All
+/// chunks except the last hold exactly [`CHUNK_CAP`] elements, so
+/// positional access stays O(1).
 #[derive(Debug, Default, Clone)]
 pub struct ElementChunks {
+    /// Sealed chunks (shared with any live snapshots) followed by the open
+    /// tail, which is never empty.
     chunks: Vec<Arc<Vec<Element>>>,
     len: usize,
 }
 
 impl ElementChunks {
-    /// Total number of elements in the view.
+    /// Total number of elements.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the view is empty.
+    /// Whether no element was ever stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -194,20 +135,35 @@ impl ElementChunks {
         Some(&self.chunks[index / CHUNK_CAP][index % CHUNK_CAP])
     }
 
+    /// The most recently appended element.
+    #[must_use]
+    pub fn last(&self) -> Option<&Element> {
+        self.chunks.last().and_then(|c| c.last())
+    }
+
     /// All elements in append order.
     pub fn iter(&self) -> impl Iterator<Item = &Element> + '_ {
         self.chunks.iter().flat_map(|c| c.iter())
     }
 
-    /// Elements in the global position range.
+    /// Elements in the global position range, walked one chunk slice at a
+    /// time (skipping to `range.start` is index math, not iteration).
     pub fn range(&self, range: Range<usize>) -> impl Iterator<Item = &Element> + '_ {
-        let start = range.start.min(self.len);
-        let end = range.end.min(self.len).max(start);
-        (start..end).map(move |i| self.get(i).expect("index in bounds"))
+        let end = range.end.min(self.len);
+        let start = range.start.min(end);
+        let first = start / CHUNK_CAP;
+        self.chunks[first..end.div_ceil(CHUNK_CAP)]
+            .iter()
+            .enumerate()
+            .flat_map(move |(k, chunk)| {
+                let base = (first + k) * CHUNK_CAP;
+                chunk[start.saturating_sub(base)..(end - base).min(chunk.len())].iter()
+            })
     }
 
-    /// The first position for which `pred` is false (see
-    /// [`ChunkedElements::partition_point`]).
+    /// The first position for which `pred` is false, assuming the
+    /// elements are partitioned (all `true` before all `false`) — the
+    /// chunked analogue of [`slice::partition_point`].
     #[must_use]
     pub fn partition_point(&self, pred: impl Fn(&Element) -> bool) -> usize {
         let (mut lo, mut hi) = (0usize, self.len);

@@ -7,29 +7,31 @@
 //!
 //! * [`TupleStore`] — tuple time-stamping with an interval transaction
 //!   stamp per element (the \[Sno87\]-style representation): a current
-//!   store plus history, with logical deletion;
+//!   store plus history, with logical deletion. Its ordered mode is the
+//!   append-only representation that §3.1/§3.2 promise for *degenerate*
+//!   and *sequential* relations ("relations are append-only and elements
+//!   are entered in time-stamp order"): arrival order is also valid-time
+//!   order, so valid-time reads are binary searches;
 //! * [`Backlog`] — "a backlog relation of insertion, modification, and
 //!   deletion operations (tuples) with single transaction time-stamps"
 //!   (\[JMRS90\]); any historical state can be replayed from it;
-//! * [`AppendLog`] — the append-only representation that §3.1/§3.2 promise
-//!   for *degenerate* and *sequential* relations ("relations are
-//!   append-only and elements are entered in time-stamp order");
 //! * [`StateCache`] — differential state materialization over the backlog
 //!   (\[JMRS90\]'s caching technique);
 //! * [`AttributeStore`] — attribute-value time-stamping over finite unions
 //!   of intervals, §2's last listed representation (\[Gad88\]'s temporal
 //!   elements), with the homogeneity invariant;
 //! * [`TemporalRelation`] — the façade that couples a schema, the
-//!   constraint engine, a transaction clock, and a chosen representation:
-//!   insert / logical delete / modify (= delete + insert, §2), rollback and
-//!   valid-timeslice reads, and specialization-aware vacuuming;
+//!   constraint engine, a transaction clock, and the store in the mode the
+//!   schema selects: insert / logical delete / modify (= delete + insert,
+//!   §2), rollback and valid-timeslice reads, and specialization-aware
+//!   vacuuming;
 //! * [`ingest`] — batched, sharded ingest: update batches are partitioned
 //!   by object surrogate and constraint-checked in parallel when the
 //!   declared specializations are partition-local (§3.2's per-surrogate
 //!   basis), via [`TemporalRelation::apply_batch`];
-//! * [`chunks`] — the chunked copy-on-write element storage both primary
-//!   representations sit on: because transaction time is append-only, a
-//!   reader pinned at tick `t` sees an immutable prefix, and
+//! * [`chunks`] — the chunked copy-on-write element storage the store sits
+//!   on: because transaction time is append-only, a reader pinned at tick
+//!   `t` sees an immutable prefix, and
 //!   [`TemporalRelation::snapshot_elements`] hands that prefix out as a
 //!   cheap [`ElementChunks`] view that never blocks (or is blocked by)
 //!   writers.
@@ -37,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod append_log;
 mod attribute_store;
 mod backlog;
 mod cache;
@@ -48,7 +49,6 @@ mod relation;
 mod tuple_store;
 pub mod vacuum;
 
-pub use append_log::AppendLog;
 pub use attribute_store::{AttributeHistory, AttributeStore};
 pub use backlog::{Backlog, BacklogKind, BacklogOp};
 pub use cache::StateCache;

@@ -10,9 +10,8 @@ use tempora_core::{
     AttrName, CoreError, Element, ElementId, ObjectId, RelationSchema, Stamping, Value, ValidTime,
 };
 
-use crate::append_log::AppendLog;
-use crate::chunks::ElementChunks;
 use crate::backlog::Backlog;
+use crate::chunks::ElementChunks;
 use crate::ingest::{BatchRecord, BatchReport};
 use crate::tuple_store::TupleStore;
 
@@ -86,18 +85,6 @@ impl Default for RelationStats {
     }
 }
 
-/// The physical representation, selected from the schema's declared
-/// specializations (§1: the semantics "may be used for selecting
-/// appropriate storage structures").
-#[derive(Debug, Clone)]
-enum Store {
-    /// General representation: tuple time-stamping.
-    Tuple(TupleStore),
-    /// Ordered relations (degenerate / sequential / non-decreasing):
-    /// append-only, no index needed for either time dimension.
-    Append(AppendLog),
-}
-
 /// A bitemporal relation: elements with valid and transaction time, a
 /// declared set of specializations (enforced on update), and
 /// representation-appropriate reads.
@@ -109,7 +96,10 @@ pub struct TemporalRelation {
     schema: Arc<RelationSchema>,
     engine: ConstraintEngine,
     clock: Arc<dyn TransactionClock>,
-    store: Store,
+    /// Tuple time-stamping; its ordered mode is selected from the schema's
+    /// declared specializations (§1: the semantics "may be used for
+    /// selecting appropriate storage structures").
+    store: TupleStore,
     backlog: Option<Backlog>,
     enforcement: Enforcement,
     ingest_shards: usize,
@@ -121,13 +111,13 @@ impl TemporalRelation {
     /// Creates a relation, choosing the physical representation from the
     /// schema: relations whose declarations guarantee valid-time-ordered
     /// arrival (degenerate, relation-wide sequential or non-decreasing) get
-    /// the append-only representation, everything else tuple time-stamping.
+    /// the store's ordered mode, where valid-time reads are binary searches.
     #[must_use]
     pub fn new(schema: Arc<RelationSchema>, clock: Arc<dyn TransactionClock>) -> Self {
         let store = if schema.is_degenerate() || schema.is_vt_ordered() {
-            Store::Append(AppendLog::new())
+            TupleStore::new_vt_ordered()
         } else {
-            Store::Tuple(TupleStore::new())
+            TupleStore::new()
         };
         TemporalRelation {
             engine: ConstraintEngine::new(Arc::clone(&schema)),
@@ -194,10 +184,11 @@ impl TemporalRelation {
         self.stats.clone()
     }
 
-    /// Whether the relation uses the append-only representation.
+    /// Whether the relation uses the store's ordered (append-only,
+    /// valid-time-ordered) mode.
     #[must_use]
     pub fn is_append_only(&self) -> bool {
-        matches!(self.store, Store::Append(_))
+        self.store.is_vt_ordered()
     }
 
     /// The backlog, if enabled.
@@ -261,10 +252,7 @@ impl TemporalRelation {
 
     /// Writes an already-admitted element to the store and backlog.
     fn store_admitted(&mut self, element: Element) -> Result<(), CoreError> {
-        match &mut self.store {
-            Store::Tuple(s) => s.insert(element.clone())?,
-            Store::Append(s) => s.append(element.clone())?,
-        }
+        self.store.insert(element.clone())?;
         if let Some(log) = &mut self.backlog {
             log.log_insert(element)?;
         }
@@ -484,10 +472,7 @@ impl TemporalRelation {
                 return Err(e);
             }
         }
-        match &mut self.store {
-            Store::Tuple(s) => s.delete(id, tt_d)?,
-            Store::Append(s) => s.delete(id, tt_d)?,
-        }
+        self.store.delete(id, tt_d)?;
         if let Some(log) = &mut self.backlog {
             log.log_delete(id, tt_d)?;
         }
@@ -540,16 +525,7 @@ impl TemporalRelation {
             self.engine = scratch;
             self.engine.publish_check_metrics();
         }
-        match &mut self.store {
-            Store::Tuple(s) => {
-                s.delete(id, tt)?;
-                s.insert(element.clone())?;
-            }
-            Store::Append(s) => {
-                s.delete(id, tt)?;
-                s.append(element.clone())?;
-            }
-        }
+        self.store.replace(id, element.clone())?;
         if let Some(log) = &mut self.backlog {
             log.log_modify(id, element)?;
         }
@@ -561,32 +537,23 @@ impl TemporalRelation {
     /// The element by surrogate (current or deleted).
     #[must_use]
     pub fn get(&self, id: ElementId) -> Option<&Element> {
-        match &self.store {
-            Store::Tuple(s) => s.get(id),
-            Store::Append(s) => s.get(id),
-        }
+        self.store.get(id)
     }
 
     /// All elements ever stored, in transaction-time order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.iter()),
-            Store::Append(s) => Box::new(s.iter()),
-        }
+    pub fn iter(&self) -> impl Iterator<Item = &Element> {
+        self.store.iter()
     }
 
     /// The current state (a *current query*, §1).
     pub fn iter_current(&self) -> impl Iterator<Item = &Element> {
-        self.iter().filter(|e| e.is_current())
+        self.store.iter_current()
     }
 
     /// The historical state at transaction time `tt` (a *rollback query*,
     /// §1).
-    pub fn iter_at(&self, tt: Timestamp) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.iter_at(tt)),
-            Store::Append(s) => Box::new(s.iter_at(tt)),
-        }
+    pub fn iter_at(&self, tt: Timestamp) -> impl Iterator<Item = &Element> + '_ {
+        self.store.iter_at(tt)
     }
 
     /// Current elements whose valid time covers `vt` (a *historical query*
@@ -596,26 +563,22 @@ impl TemporalRelation {
     /// optimization and auxiliary indexes lives in `tempora-query`; this
     /// is the storage-level answer.)
     pub fn timeslice(&self, vt: Timestamp) -> Vec<&Element> {
-        match (&self.store, self.schema.stamping()) {
-            (Store::Append(s), Stamping::Event) => {
-                // Elements are vt-begin ordered and an event stamp covers
-                // `vt` exactly when it equals `vt`: the answer is the run
-                // [vt, vt+ε), found by binary search.
-                s.slice_by_vt_begin(vt, vt.saturating_add(TimeDelta::RESOLUTION))
-                    .filter(|e| e.is_current())
-                    .collect()
-            }
-            // Interval stamps with earlier begins may still cover `vt`,
-            // so the ordered prefix must be scanned.
-            (Store::Append(s), Stamping::Interval) => s
-                .iter()
-                .filter(|e| e.is_current() && e.valid.covers(vt))
-                .collect(),
-            (Store::Tuple(s), _) => s
-                .iter_current()
-                .filter(|e| e.valid.covers(vt))
-                .collect(),
+        if self.store.is_vt_ordered() && self.schema.stamping() == Stamping::Event {
+            // Elements are vt-begin ordered and an event stamp covers `vt`
+            // exactly when it equals `vt`: the answer is the run
+            // [vt, vt+ε), found by binary search.
+            return self
+                .store
+                .slice_by_vt_begin(vt, vt.saturating_add(TimeDelta::RESOLUTION))
+                .filter(|e| e.is_current())
+                .collect();
         }
+        // Interval stamps with earlier begins may still cover `vt`, so
+        // even an ordered store must be scanned.
+        self.store
+            .iter_current()
+            .filter(|e| e.valid.covers(vt))
+            .collect()
     }
 
     /// [`Self::timeslice`] by exhaustive scan, whatever the
@@ -630,28 +593,16 @@ impl TemporalRelation {
     /// Elements with `tt_b` in the inclusive window `[lo, hi]` — the
     /// binary-searched transaction-time probe issued by the tt-proxy
     /// strategy.
-    pub fn tt_range(&self, lo: Timestamp, hi: Timestamp) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.tt_range(lo, hi)),
-            Store::Append(s) => Box::new(s.tt_range(lo, hi)),
-        }
+    pub fn tt_range(&self, lo: Timestamp, hi: Timestamp) -> impl Iterator<Item = &Element> + '_ {
+        self.store.tt_range(lo, hi)
     }
 
-    /// Elements whose valid begin lies in `[from, to)`, when the relation
-    /// uses the append-only (valid-time-ordered) representation; `None`
-    /// otherwise.
+    /// Every element ever stored, in transaction-time order, as a
+    /// positional view borrowed in place — what the live executor scans
+    /// and binary-searches.
     #[must_use]
-    pub fn vt_ordered_slice(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Option<Box<dyn Iterator<Item = &Element> + '_>> {
-        match &self.store {
-            Store::Append(s) => {
-                Some(Box::new(s.slice_by_vt_begin(from, to)) as Box<dyn Iterator<Item = &Element>>)
-            }
-            Store::Tuple(_) => None,
-        }
+    pub fn elements(&self) -> &ElementChunks {
+        self.store.elements()
     }
 
     /// An immutable chunk view of every element ever stored, in
@@ -661,31 +612,19 @@ impl TemporalRelation {
     /// [`crate::chunks`]).
     #[must_use]
     pub fn snapshot_elements(&self) -> ElementChunks {
-        match &self.store {
-            Store::Tuple(s) => s.snapshot(),
-            Store::Append(s) => s.snapshot(),
-        }
+        self.store.snapshot()
     }
 
-    /// Every element of one object's life-line (current and deleted).
-    /// For the append representation this is a filtered scan.
-    pub fn iter_object_history(
-        &self,
-        object: tempora_core::ObjectId,
-    ) -> Box<dyn Iterator<Item = &Element> + '_> {
-        match &self.store {
-            Store::Tuple(s) => Box::new(s.iter_object_history(object)),
-            Store::Append(s) => Box::new(s.iter().filter(move |e| e.object == object)),
-        }
+    /// Every element of one object's life-line (current and deleted), in
+    /// transaction-time order.
+    pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
+        self.store.iter_object_history(object)
     }
 
     /// Number of elements ever stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Tuple(s) => s.len(),
-            Store::Append(s) => s.len(),
-        }
+        self.store.len()
     }
 
     /// Whether the relation has never been written.
@@ -696,13 +635,13 @@ impl TemporalRelation {
 
     /// Physically reclaims logically deleted elements the predicate
     /// rejects (see [`crate::vacuum`] for specialization-aware policies).
-    /// Returns the number reclaimed. No-op on append-only stores: their
-    /// point is full history retention.
+    /// Returns the number reclaimed. No-op in the ordered mode: its point
+    /// is full history retention.
     pub fn reclaim(&mut self, keep: impl FnMut(&Element) -> bool) -> usize {
-        match &mut self.store {
-            Store::Tuple(s) => s.reclaim(keep),
-            Store::Append(_) => 0,
+        if self.store.is_vt_ordered() {
+            return 0;
         }
+        self.store.reclaim(keep)
     }
 }
 
@@ -874,6 +813,40 @@ mod tests {
         assert_eq!(rel.iter_current().count(), 1);
         // And a legal modify still works afterwards.
         assert!(rel.modify(a, ts(195), vec![]).is_ok());
+    }
+
+    #[test]
+    fn trusted_modify_with_a_vt_regression_leaves_relation_unchanged() {
+        // Under `Trust` the constraint engine does not catch the regression;
+        // the ordered store does, and must do so before the delete half of
+        // the modification is applied.
+        let schema = RelationSchema::builder("r", Stamping::Event)
+            .ordering(OrderingSpec::GloballyNonDecreasing, Basis::PerRelation)
+            .build()
+            .unwrap();
+        let clock = clock_at(10);
+        let mut rel = TemporalRelation::new(schema, clock.clone())
+            .with_enforcement(Enforcement::Trust)
+            .with_backlog();
+        rel.insert(ObjectId::new(1), ts(5), vec![]).unwrap();
+        clock.set(ts(20));
+        let b = rel.insert(ObjectId::new(2), ts(8), vec![]).unwrap();
+        let (len, stats, backlog) = (rel.len(), rel.stats(), rel.backlog().unwrap().len());
+        clock.set(ts(30));
+        let err = rel.modify(b, ts(6), vec![]).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::ElementMismatch { reason, .. } if reason.contains("regresses")),
+            "{err:?}"
+        );
+        assert!(
+            rel.get(b).unwrap().is_current(),
+            "b must survive a failed modify"
+        );
+        assert_eq!(rel.iter_current().count(), 2);
+        assert_eq!(rel.len(), len);
+        assert_eq!(rel.stats().modifications, stats.modifications);
+        assert_eq!(rel.stats(), stats);
+        assert_eq!(rel.backlog().unwrap().len(), backlog);
     }
 
     #[test]

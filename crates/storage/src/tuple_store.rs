@@ -5,6 +5,18 @@
 //! transaction time-stamp". Elements are kept in `tt_b` order (the order
 //! the transaction clock produces), so rollback reads are range scans and
 //! current reads go through a live-set index.
+//!
+//! The same store has an ordered mode for degenerate and sequential
+//! relations. §3.1: "At the implementation level, a degenerate temporal
+//! relation can be advantageously treated as a rollback relation due to
+//! the fact that relations are append-only and elements are entered in
+//! time-stamp order." §3.2 extends the idea to globally sequential
+//! relations, where "valid time can be approximated with transaction
+//! time, yielding an append-only relation that can support historical (as
+//! well as transaction time) queries." For those relations arrival order
+//! is *also* valid-time order; the ordered mode enforces that on insert,
+//! so valid-timeslice reads become binary searches
+//! ([`TupleStore::slice_by_vt_begin`]) with no extra index.
 
 use std::collections::HashMap;
 
@@ -16,21 +28,33 @@ use crate::chunks::{ChunkedElements, ElementChunks};
 
 /// Tuple-time-stamped element storage.
 ///
-/// Invariants (checked in debug builds, maintained by construction):
-/// elements are stored in strictly increasing `tt_b` order; each element
-/// surrogate appears exactly once; a logically deleted element has
-/// `tt_d > tt_b`.
+/// Invariants (checked on insert, maintained by construction): elements
+/// are stored in strictly increasing `tt_b` order — and, in the ordered
+/// mode, non-decreasing valid begin order; each element surrogate appears
+/// exactly once; a logically deleted element has `tt_d > tt_b`.
 #[derive(Debug, Default, Clone)]
 pub struct TupleStore {
     /// All elements ever stored, in `tt_b` order (append-only; deletion is
     /// logical — it sets `tt_end`). Copy-on-write chunks so snapshots
     /// share storage with the live store (see [`crate::chunks`]).
     elements: ChunkedElements,
-    /// Element surrogate → position in `elements`.
+    /// Element surrogate → position in `elements`, so point lookups and
+    /// logical deletion stay O(1) instead of scanning.
     by_id: HashMap<ElementId, usize>,
     /// Every element ever stored per object (the per-surrogate partitions,
-    /// §2/§3), in insertion order; current elements are filtered on read.
-    by_object: HashMap<ObjectId, Vec<ElementId>>,
+    /// §2/§3) as a chain through positions: each object's newest position
+    /// here, and each position's predecessor of the same object in
+    /// `prev_of_object`. A chain rather than a list per object keeps an
+    /// insert to one map update and no allocation, which matters on the
+    /// recovery replay of every relation.
+    last_of_object: HashMap<ObjectId, usize>,
+    prev_of_object: Vec<Option<usize>>,
+    /// Whether arrival order is also valid-begin order (the ordered mode).
+    vt_ordered: bool,
+    /// Elements examined while locating delete targets (cumulative).
+    /// With the `by_id` map each delete examines exactly one element; a
+    /// regression to scanning shows up here as O(position) growth.
+    locate_probes: u64,
 }
 
 impl TupleStore {
@@ -38,6 +62,24 @@ impl TupleStore {
     #[must_use]
     pub fn new() -> Self {
         TupleStore::default()
+    }
+
+    /// An empty store in the ordered mode: valid begins must be
+    /// non-decreasing in arrival order. Only sound for relations whose
+    /// schema guarantees it (degenerate, sequential, or globally
+    /// non-decreasing relations).
+    #[must_use]
+    pub fn new_vt_ordered() -> Self {
+        TupleStore {
+            vt_ordered: true,
+            ..TupleStore::default()
+        }
+    }
+
+    /// Whether the store is in the ordered mode.
+    #[must_use]
+    pub fn is_vt_ordered(&self) -> bool {
+        self.vt_ordered
     }
 
     /// Number of elements ever stored (including logically deleted ones).
@@ -57,38 +99,56 @@ impl TupleStore {
     /// # Errors
     ///
     /// Returns [`CoreError::ElementMismatch`] if the element surrogate is
-    /// already present or `tt_b` does not exceed the last stored `tt_b`
-    /// (transaction times are unique and monotone, §2).
+    /// already present, `tt_b` does not exceed the last stored `tt_b`
+    /// (transaction times are unique and monotone, §2), the element is
+    /// already deleted, or — in the ordered mode — its valid begin
+    /// regresses below the last stored one (the schema promised an ordered
+    /// relation; a violation here means the constraint engine was
+    /// bypassed).
     pub fn insert(&mut self, element: Element) -> Result<(), CoreError> {
-        if self.by_id.contains_key(&element.id) {
-            return Err(CoreError::ElementMismatch {
+        self.check_insert(&element)?;
+        self.push(element);
+        Ok(())
+    }
+
+    /// Stores an element [`Self::check_insert`] accepted.
+    fn push(&mut self, element: Element) {
+        let position = self.elements.len();
+        self.by_id.insert(element.id, position);
+        let prev = self.last_of_object.insert(element.object, position);
+        self.prev_of_object.push(prev);
+        self.elements.push(element);
+    }
+
+    /// Every check [`Self::insert`] makes, without storing anything.
+    fn check_insert(&self, element: &Element) -> Result<(), CoreError> {
+        let mismatch = |reason: String| {
+            Err(CoreError::ElementMismatch {
                 element: element.id,
-                reason: "element surrogate already stored".to_string(),
-            });
+                reason,
+            })
+        };
+        if self.by_id.contains_key(&element.id) {
+            return mismatch("element surrogate already stored".to_string());
         }
         if let Some(last) = self.elements.last() {
             if element.tt_begin <= last.tt_begin {
-                return Err(CoreError::ElementMismatch {
-                    element: element.id,
-                    reason: format!(
-                        "tt_b {} not after last stored tt_b {}",
-                        element.tt_begin, last.tt_begin
-                    ),
-                });
+                return mismatch(format!(
+                    "tt_b {} not after last stored tt_b {}",
+                    element.tt_begin, last.tt_begin
+                ));
+            }
+            if self.vt_ordered && element.valid.begin() < last.valid.begin() {
+                return mismatch(format!(
+                    "vt begin {} regresses below {} — the ordered store requires an ordered relation",
+                    element.valid.begin(),
+                    last.valid.begin()
+                ));
             }
         }
         if element.tt_end.is_some() {
-            return Err(CoreError::ElementMismatch {
-                element: element.id,
-                reason: "newly inserted elements must be current (tt_d unset)".to_string(),
-            });
+            return mismatch("newly inserted elements must be current (tt_d unset)".to_string());
         }
-        self.by_id.insert(element.id, self.elements.len());
-        self.by_object
-            .entry(element.object)
-            .or_default()
-            .push(element.id);
-        self.elements.push(element);
         Ok(())
     }
 
@@ -103,6 +163,7 @@ impl TupleStore {
             .by_id
             .get(&id)
             .ok_or(CoreError::NoSuchElement { element: id })?;
+        self.locate_probes += 1;
         let element = self
             .elements
             .get_mut(idx)
@@ -118,6 +179,19 @@ impl TupleStore {
         }
         element.tt_end = Some(tt_d);
         Ok(())
+    }
+
+    /// Logically deletes `id` at the replacement's `tt_b` and stores the
+    /// replacement — §2's modification. Both halves are validated before
+    /// either is applied, so on error the store is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::insert`] and [`Self::delete`].
+    pub fn replace(&mut self, id: ElementId, element: Element) -> Result<(), CoreError> {
+        self.check_insert(&element)?;
+        self.delete(id, element.tt_begin)?;
+        self.insert(element)
     }
 
     /// The element with the given surrogate, if ever stored.
@@ -154,11 +228,13 @@ impl TupleStore {
     /// Every element ever stored for one object, in insertion order —
     /// the full life-line including logically deleted elements.
     pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
-        self.by_object
-            .get(&object)
-            .into_iter()
-            .flatten()
-            .filter_map(|id| self.get(*id))
+        let mut chain = Vec::new();
+        let mut at = self.last_of_object.get(&object).copied();
+        while let Some(position) = at {
+            chain.push(position);
+            at = self.prev_of_object[position];
+        }
+        chain.into_iter().rev().filter_map(|p| self.elements.get(p))
     }
 
     /// Elements with `tt_b` in the inclusive window `[lo, hi]` — a binary-
@@ -168,6 +244,31 @@ impl TupleStore {
         let start = self.elements.partition_point(|e| e.tt_begin < lo);
         let end = self.elements.partition_point(|e| e.tt_begin <= hi);
         self.elements.range(start..end)
+    }
+
+    /// Elements whose valid begin lies in `[from, to)` — a contiguous run
+    /// found by binary search, the payoff of the ordered mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the store is in the ordered mode: without the
+    /// ordering invariant the binary search is unsound.
+    pub fn slice_by_vt_begin(
+        &self,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> impl Iterator<Item = &Element> + '_ {
+        assert!(self.vt_ordered, "valid-begin search on an unordered store");
+        let lo = self.elements.partition_point(|e| e.valid.begin() < from);
+        let hi = self.elements.partition_point(|e| e.valid.begin() < to);
+        self.elements.range(lo..hi)
+    }
+
+    /// The positional view of every element ever stored, borrowed in
+    /// place — what a live read scans.
+    #[must_use]
+    pub fn elements(&self) -> &ElementChunks {
+        &self.elements
     }
 
     /// An immutable chunk view of the store's current contents (see
@@ -182,6 +283,16 @@ impl TupleStore {
     #[must_use]
     pub fn current_len(&self) -> usize {
         self.iter_current().count()
+    }
+
+    /// Cumulative count of elements examined while locating delete
+    /// targets. With the id→position map each delete examines exactly
+    /// one element, so this advances by one per attempted delete of a
+    /// known surrogate — the observable the delete-path complexity
+    /// regression test pins down.
+    #[must_use]
+    pub fn locate_probes(&self) -> u64 {
+        self.locate_probes
     }
 
     /// Physically removes elements selected by the predicate. Only
@@ -201,13 +312,14 @@ impl TupleStore {
             .cloned()
             .collect();
         if kept.len() != before {
-            self.by_id.clear();
-            self.by_object.clear();
-            for (i, e) in kept.iter().enumerate() {
-                self.by_id.insert(e.id, i);
-                self.by_object.entry(e.object).or_default().push(e.id);
+            *self = TupleStore {
+                vt_ordered: self.vt_ordered,
+                locate_probes: self.locate_probes,
+                ..TupleStore::default()
+            };
+            for e in kept {
+                self.push(e);
             }
-            self.elements = ChunkedElements::from_vec(kept);
         }
         before - self.elements.len()
     }
@@ -331,5 +443,146 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert!(store.get(ElementId::new(1)).is_none());
         assert!(store.get(ElementId::new(2)).is_some());
+    }
+
+    #[test]
+    fn object_history_survives_reclaim() {
+        let mut store = TupleStore::new();
+        for i in 0..12 {
+            store.insert(el(i, i % 3, 5, 10 + i as i64)).unwrap();
+        }
+        for i in [0, 4, 5] {
+            store.delete(ElementId::new(i), ts(100)).unwrap();
+        }
+        let history = |store: &TupleStore, obj: u64| -> Vec<u64> {
+            store
+                .iter_object_history(ObjectId::new(obj))
+                .map(|e| e.id.raw())
+                .collect()
+        };
+        assert_eq!(history(&store, 1), vec![1, 4, 7, 10]);
+        // Reclaim element 4 only: the partitions are rebuilt around it.
+        assert_eq!(store.reclaim(|e| e.id.raw() != 4), 1);
+        for obj in 0..3 {
+            let scanned: Vec<u64> = store
+                .iter()
+                .filter(|e| e.object == ObjectId::new(obj))
+                .map(|e| e.id.raw())
+                .collect();
+            assert_eq!(history(&store, obj), scanned, "object {obj}");
+        }
+        assert_eq!(history(&store, 1), vec![1, 7, 10]);
+        assert!(history(&store, 9).is_empty());
+    }
+
+    /// The ordered mode (degenerate / sequential / non-decreasing
+    /// relations).
+    mod ordered {
+        use super::*;
+        use tempora_core::{ObjectId, ValidTime};
+
+        fn ts(s: i64) -> Timestamp {
+            Timestamp::from_secs(s)
+        }
+
+        fn el(id: u64, vt: i64, tt: i64) -> Element {
+            Element::new(
+                ElementId::new(id),
+                ObjectId::new(1),
+                ValidTime::Event(ts(vt)),
+                ts(tt),
+            )
+        }
+
+        #[test]
+        fn append_enforces_both_orders() {
+            let mut log = TupleStore::new_vt_ordered();
+            log.insert(el(1, 10, 10)).unwrap();
+            log.insert(el(2, 10, 11)).unwrap(); // equal vt allowed
+            log.insert(el(3, 12, 12)).unwrap();
+            assert!(log.insert(el(4, 11, 13)).is_err()); // vt regression
+            assert!(log.insert(el(5, 20, 12)).is_err()); // tt regression
+            assert!(log.insert(el(3, 20, 13)).is_err()); // duplicate surrogate
+            assert_eq!(log.len(), 3);
+        }
+
+        #[test]
+        fn vt_slice_binary_search() {
+            let mut log = TupleStore::new_vt_ordered();
+            for i in 0..100_i64 {
+                log.insert(el(u64::try_from(i).unwrap(), i * 10, i * 10 + 1)).unwrap();
+            }
+            let run: Vec<&Element> = log.slice_by_vt_begin(ts(200), ts(300)).collect();
+            assert_eq!(run.len(), 10);
+            assert_eq!(run[0].valid.begin(), ts(200));
+            assert_eq!(run[9].valid.begin(), ts(290));
+            assert_eq!(log.slice_by_vt_begin(ts(5_000), ts(6_000)).count(), 0);
+        }
+
+        #[test]
+        fn rollback_prefix() {
+            let mut log = TupleStore::new_vt_ordered();
+            log.insert(el(1, 10, 10)).unwrap();
+            log.insert(el(2, 20, 20)).unwrap();
+            log.delete(ElementId::new(1), ts(25)).unwrap();
+            assert_eq!(log.iter_at(ts(15)).count(), 1);
+            assert_eq!(log.iter_at(ts(20)).count(), 2);
+            assert_eq!(log.iter_at(ts(25)).count(), 1);
+            assert_eq!(log.iter_at(ts(5)).count(), 0);
+        }
+
+        #[test]
+        fn delete_errors() {
+            let mut log = TupleStore::new_vt_ordered();
+            log.insert(el(1, 10, 10)).unwrap();
+            assert!(log.delete(ElementId::new(2), ts(20)).is_err());
+            assert!(log.delete(ElementId::new(1), ts(10)).is_err());
+            log.delete(ElementId::new(1), ts(20)).unwrap();
+            assert!(log.delete(ElementId::new(1), ts(30)).is_err());
+        }
+
+        #[test]
+        fn get_by_id() {
+            let mut log = TupleStore::new_vt_ordered();
+            log.insert(el(7, 10, 10)).unwrap();
+            assert!(log.get(ElementId::new(7)).is_some());
+            assert!(log.get(ElementId::new(8)).is_none());
+        }
+
+        #[test]
+        fn delete_locates_in_constant_probes() {
+            // Regression test for the delete-path complexity fix: locating
+            // the delete target must not scan the log. Deleting the *last*
+            // element of a large log examines one element, not `len`.
+            let n = 4_096_i64;
+            let mut log = TupleStore::new_vt_ordered();
+            for i in 0..n {
+                log.insert(el(u64::try_from(i).unwrap(), i, i + 1)).unwrap();
+            }
+            let before = log.locate_probes();
+            log.delete(ElementId::new(u64::try_from(n - 1).unwrap()), ts(n + 10)).unwrap();
+            let probes = log.locate_probes() - before;
+            assert!(
+                probes <= 2,
+                "deleting the last of {n} elements examined {probes} elements — \
+                 the id→position map is not being used"
+            );
+            // And the deletion itself is equivalent to what a scan would do.
+            assert!(log.get(ElementId::new(u64::try_from(n - 1).unwrap())).unwrap().tt_end.is_some());
+        }
+
+        #[test]
+        fn snapshot_isolated_from_deletes() {
+            let mut log = TupleStore::new_vt_ordered();
+            for i in 0..2_000_i64 {
+                log.insert(el(u64::try_from(i).unwrap(), i, i + 1)).unwrap();
+            }
+            let snap = log.snapshot();
+            log.delete(ElementId::new(5), ts(5_000)).unwrap();
+            // The live log sees the delete; the snapshot does not.
+            assert!(log.get(ElementId::new(5)).unwrap().tt_end.is_some());
+            assert_eq!(snap.get(5).unwrap().tt_end, None);
+            assert_eq!(snap.len(), 2_000);
+        }
     }
 }
