@@ -47,7 +47,7 @@ fn bench_insert(c: &mut Criterion) {
         });
     });
 
-    // Interval relation: tuple store + interval tree.
+    // Interval relation: tuple store + per-chunk interval runs.
     let assignments = workload::assignments(20, u32::try_from(n / 20).expect("small"), 3);
     group.bench_function(BenchmarkId::from_parameter("interval_tree"), |b| {
         b.iter(|| {

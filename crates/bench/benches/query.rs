@@ -5,7 +5,7 @@
 //!
 //! Series reported per size n:
 //!   * `full-scan`      — the general baseline (no specialization used);
-//!   * `point-probe`    — general relation with a maintained B-tree index;
+//!   * `point-probe`    — general relation with per-chunk point runs;
 //!   * `tt-window`      — strongly bounded relation, no valid-time index;
 //!   * `append-order`   — globally sequential relation, no index at all;
 //!   * `rollback`       — transaction-prefix scan (always available).

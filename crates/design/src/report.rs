@@ -62,8 +62,9 @@ pub fn schema_report(schema: &RelationSchema) -> String {
             IndexChoice::AppendOrder => "binary search on the base order (no index)".to_string(),
             IndexChoice::TtProxy(b) =>
                 format!("tt-proxy window probe via {b} (no valid-time index)"),
-            IndexChoice::PointIndex => "B-tree point index".to_string(),
-            IndexChoice::IntervalTree => "interval tree".to_string(),
+            IndexChoice::PointIndex => "sorted point run per storage chunk".to_string(),
+            IndexChoice::IntervalTree =>
+                "interval run with an implicit max-end tree per storage chunk".to_string(),
         }
     );
 

@@ -5,9 +5,12 @@
 //! query processing strategies". This crate supplies the indexing
 //! techniques:
 //!
-//! * [`PointIndex`] — a B-tree point index over valid-time events;
-//! * [`IntervalIndex`] — a centered interval tree over valid-time
-//!   intervals (stabbing and overlap queries);
+//! * [`ChunkRuns`] — the per-chunk key runs storage keeps next to its
+//!   elements: an object run for every relation, and where the selector
+//!   asks for a dedicated valid-time index, a sorted point run (event
+//!   relations) or a begin-sorted interval run with an implicit max-end
+//!   tree (interval relations). Runs are sorted once when a chunk seals
+//!   and never touched by a delete, so one index serves every pinned read;
 //! * [`tt_proxy`] — *the specialization payoff*: when a relation's declared
 //!   offset band bounds `vt − tt`, a valid-time predicate converts into a
 //!   transaction-time range probe on the (always-ordered) `tt` dimension
@@ -18,11 +21,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod interval_tree;
-mod point;
+mod runs;
 mod selector;
 pub mod tt_proxy;
 
-pub use interval_tree::IntervalIndex;
-pub use point::PointIndex;
+pub use runs::{ChunkRuns, RunProbe};
 pub use selector::{select_index, select_index_with_profile, IndexChoice};

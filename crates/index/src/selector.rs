@@ -9,8 +9,10 @@
 //! 2. a relation whose insertion-referenced specializations yield a
 //!    two-sidedly bounded offset band gets the **tt-proxy** strategy
 //!    (valid-time predicates become transaction-time ranges);
-//! 3. otherwise a dedicated valid-time index is required: a point index
-//!    for event relations, an interval tree for interval relations.
+//! 3. otherwise a dedicated valid-time index is required: a sorted point
+//!    run for event relations, an interval run with an implicit max-end
+//!    tree for interval relations, kept per storage chunk (see
+//!    [`ChunkRuns`](crate::ChunkRuns)).
 
 use tempora_core::region::OffsetBand;
 use tempora_core::{RelationSchema, Stamping};
@@ -27,9 +29,10 @@ pub enum IndexChoice {
         /// The conservative insertion band (both sides finite).
         OffsetBand,
     ),
-    /// Maintain a B-tree point index on event valid times.
+    /// Keep a sorted run of event valid times per storage chunk.
     PointIndex,
-    /// Maintain an interval tree on valid intervals.
+    /// Keep a begin-sorted run of valid intervals, with an implicit
+    /// max-end tree, per storage chunk.
     IntervalTree,
 }
 

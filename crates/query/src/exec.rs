@@ -1,14 +1,15 @@
 //! The executor: an indexed relation and plan evaluation with statistics.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tempora_time::{TimeDelta, Timestamp, TransactionClock};
 
 use tempora_core::{
     AttrName, CoreError, Element, ElementId, ObjectId, RelationSchema, Stamping, ValidTime, Value,
 };
-use tempora_index::{select_index, IndexChoice, IntervalIndex, PointIndex};
+use tempora_index::{select_index, IndexChoice, RunProbe};
+use tempora_obs::{Counter, Histogram};
 use tempora_storage::{BatchRecord, BatchReport, ElementChunks, Enforcement, TemporalRelation};
 
 use crate::optimizer::plan_query_annotated;
@@ -46,17 +47,16 @@ pub struct QueryResult {
     pub stats: ExecStats,
 }
 
-/// A temporal relation with its selected valid-time index maintained on
-/// every update, and a plan-driven executor.
+/// A temporal relation and its plan-driven executor.
 ///
-/// The index strategy comes from [`tempora_index::select_index`]; ordered
-/// and bounded relations need no auxiliary structure at all — that absence
-/// is the storage payoff the paper promises.
+/// The index strategy comes from [`tempora_index::select_index`]: the
+/// storage chunks keep a valid-time key run only where it picks a
+/// dedicated index, and ordered and bounded relations need no auxiliary
+/// structure at all — that absence is the storage payoff the paper
+/// promises.
 pub struct IndexedRelation {
     relation: TemporalRelation,
     choice: IndexChoice,
-    point: PointIndex,
-    interval: IntervalIndex,
 }
 
 impl IndexedRelation {
@@ -67,8 +67,6 @@ impl IndexedRelation {
         IndexedRelation {
             relation: TemporalRelation::new(schema, clock),
             choice,
-            point: PointIndex::new(),
-            interval: IntervalIndex::new(),
         }
     }
 
@@ -104,112 +102,56 @@ impl IndexedRelation {
         self.choice
     }
 
-    /// Inserts a fact (see [`TemporalRelation::insert`]) and maintains the
-    /// index.
+    /// Inserts a fact (see [`TemporalRelation::insert`]).
     ///
     /// # Errors
     ///
-    /// Propagates constraint violations; the index is only updated on
-    /// success.
+    /// Propagates constraint violations.
     pub fn insert(
         &mut self,
         object: ObjectId,
         valid: impl Into<ValidTime>,
         attrs: Vec<(AttrName, Value)>,
     ) -> Result<ElementId, CoreError> {
-        let valid = valid.into();
-        let id = self.relation.insert(object, valid, attrs)?;
-        self.index_add(valid, id);
-        Ok(id)
+        self.relation.insert(object, valid, attrs)
     }
 
     /// Applies an insertion batch (see [`TemporalRelation::apply_batch`],
     /// including the sharded-parallel checking it performs when the schema
-    /// permits) and maintains the index for every accepted record.
+    /// permits).
     pub fn apply_batch(&mut self, records: Vec<BatchRecord>) -> BatchReport {
-        let valids: Vec<ValidTime> = records.iter().map(|r| r.valid).collect();
-        let report = self.relation.apply_batch(records);
-        let rejected: std::collections::BTreeSet<usize> =
-            report.rejected.iter().map(|(idx, _)| *idx).collect();
-        // Accepted surrogates line up with the non-rejected batch indices,
-        // in batch order.
-        let mut accepted = report.accepted.iter();
-        for (idx, valid) in valids.into_iter().enumerate() {
-            if !rejected.contains(&idx) {
-                if let Some(&id) = accepted.next() {
-                    self.index_add(valid, id);
-                }
-            }
-        }
-        report
+        self.relation.apply_batch(records)
     }
 
-    /// Logically deletes an element and unindexes it.
+    /// Logically deletes an element. Its index keys stay: readers filter
+    /// it by `tt_d` at their pin.
     ///
     /// # Errors
     ///
     /// Propagates [`TemporalRelation::delete`] errors.
     pub fn delete(&mut self, id: ElementId) -> Result<Timestamp, CoreError> {
-        let valid = self
-            .relation
-            .get(id)
-            .map(|e| e.valid)
-            .ok_or(CoreError::NoSuchElement { element: id })?;
-        let tt_d = self.relation.delete(id)?;
-        self.index_remove(valid, id);
-        Ok(tt_d)
+        self.relation.delete(id)
     }
 
-    /// Modifies an element (see [`TemporalRelation::modify`]), keeping the
-    /// index in step.
+    /// Modifies an element (see [`TemporalRelation::modify`]).
     ///
     /// # Errors
     ///
-    /// Propagates constraint violations; the relation and index are
-    /// unchanged on failure.
+    /// Propagates constraint violations; the relation is unchanged on
+    /// failure.
     pub fn modify(
         &mut self,
         id: ElementId,
         valid: impl Into<ValidTime>,
         attrs: Vec<(AttrName, Value)>,
     ) -> Result<ElementId, CoreError> {
-        let new_valid = valid.into();
-        let old_valid = self
-            .relation
-            .get(id)
-            .map(|e| e.valid)
-            .ok_or(CoreError::NoSuchElement { element: id })?;
-        let new_id = self.relation.modify(id, new_valid, attrs)?;
-        self.index_remove(old_valid, id);
-        self.index_add(new_valid, new_id);
-        Ok(new_id)
-    }
-
-    fn index_add(&mut self, valid: ValidTime, id: ElementId) {
-        match (self.choice, valid) {
-            (IndexChoice::PointIndex, ValidTime::Event(vt)) => self.point.insert(vt, id),
-            (IndexChoice::IntervalTree, ValidTime::Interval(iv)) => self.interval.insert(iv, id),
-            _ => {}
-        }
-    }
-
-    fn index_remove(&mut self, valid: ValidTime, id: ElementId) {
-        match (self.choice, valid) {
-            (IndexChoice::PointIndex, ValidTime::Event(vt)) => {
-                self.point.remove(vt, id);
-            }
-            (IndexChoice::IntervalTree, ValidTime::Interval(iv)) => {
-                self.interval.remove(iv, id);
-            }
-            _ => {}
-        }
+        self.relation.modify(id, valid, attrs)
     }
 
     /// Runs a vacuum pass with the given policy (see
     /// [`tempora_storage::vacuum`]). Only logically deleted elements are
-    /// reclaimed, and those were unindexed at deletion time, so the
-    /// valid-time index needs no maintenance here. Returns the number of
-    /// elements reclaimed.
+    /// reclaimed; the store rebuilds its chunks and their key runs around
+    /// them. Returns the number of elements reclaimed.
     pub fn vacuum(
         &mut self,
         policy: tempora_storage::vacuum::VacuumPolicy,
@@ -230,10 +172,10 @@ impl IndexedRelation {
 
     /// Current elements whose valid time covers `vt` (the valid-timeslice
     /// read), routed through the planner — and therefore through the
-    /// maintained point index or interval tree when the schema selected
-    /// one — rather than [`TemporalRelation::timeslice`]'s storage-level
-    /// path, which cannot see the auxiliary index and falls back to a
-    /// scan for interval-stamped relations.
+    /// chunks' point or interval runs when the schema selected one —
+    /// rather than [`TemporalRelation::timeslice`]'s storage-level path,
+    /// which does not probe the runs and scans interval-stamped
+    /// relations.
     #[must_use]
     pub fn timeslice(&self, vt: Timestamp) -> QueryResult {
         self.execute(Query::Timeslice { vt })
@@ -264,7 +206,7 @@ impl IndexedRelation {
             pin: Timestamp::MAX,
             visible: elements.len(),
         };
-        view.run(query, plan, residual, Some(self))
+        view.run(query, plan, residual)
     }
 }
 
@@ -318,7 +260,7 @@ fn tt_window_edges(
 /// tick: the live relation's store read in place at [`Timestamp::MAX`]
 /// (under which `existed_at` is `is_current` for every stored element), or
 /// a snapshot's chunks at its pin. Live and pinned reads share this one
-/// plan loop and one predicate.
+/// plan loop, one predicate and the chunks' key runs.
 pub(crate) struct View<'a> {
     pub(crate) schema: &'a RelationSchema,
     pub(crate) elements: &'a ElementChunks,
@@ -328,23 +270,16 @@ pub(crate) struct View<'a> {
 }
 
 impl View<'_> {
-    /// Executes `plan` for `query`. The maintained point index, interval
-    /// tree and per-object partitions exist only on the live relation
-    /// (`live`); without them those plans scan the visible prefix, and
-    /// the index probes report `snapshot-scan`.
-    pub(crate) fn run(
-        &self,
-        query: Query,
-        plan: Plan,
-        residual: Residual,
-        live: Option<&IndexedRelation>,
-    ) -> QueryResult {
-        let (span, strategy) = match (plan, live) {
-            (_, Some(_)) => ("query-execute", plan.strategy_name()),
-            (Plan::PointProbe { .. } | Plan::IntervalProbe { .. }, None) => {
-                ("snapshot-query-execute", "snapshot-scan")
-            }
-            (_, None) => ("snapshot-query-execute", plan.strategy_name()),
+    /// Executes `plan` for `query`. Index probes and object scans probe
+    /// each visible chunk's key runs; a chunk without the run (a
+    /// snapshot's copy of the open tail) is scanned. Every other plan is
+    /// one run of positions in the tt-ordered view.
+    pub(crate) fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
+        let strategy = plan.strategy_name();
+        let span = if self.pin == Timestamp::MAX {
+            "query-execute"
+        } else {
+            "snapshot-query-execute"
         };
         let _span = tempora_obs::span_with(span, strategy);
         let sw = tempora_obs::Stopwatch::start();
@@ -374,66 +309,40 @@ impl View<'_> {
         let prefix = |tt: Timestamp| self.elements.partition_point(|e| e.tt_begin <= tt);
         let ordered = self.schema.is_degenerate() || self.schema.is_vt_ordered();
 
-        // Live-only arms walk their index and scan nothing; every other
-        // plan is one run of positions in the tt-ordered view.
-        let scan = match (plan, live) {
-            (Plan::PointProbe { from, to }, Some(rel)) => {
-                let hits = rel.point.range(from, to);
-                hits.filter_map(|id| rel.relation.get(id))
-                    .for_each(&mut take);
+        let scan = match plan {
+            Plan::PointProbe { from, to } | Plan::IntervalProbe { from, to } => {
+                let probe = RunProbe::Valid { from, to };
+                self.elements.probe(self.visible, probe, &mut take);
                 0..0
             }
-            (Plan::IntervalProbe { from, to }, Some(rel)) => {
-                let hits = if to == from.saturating_add(TimeDelta::RESOLUTION) {
-                    rel.interval.stab(from)
-                } else {
-                    match tempora_time::Interval::new(from, to) {
-                        Ok(q) => rel.interval.overlapping(q),
-                        Err(_) => Vec::new(),
-                    }
-                };
-                hits.into_iter()
-                    .filter_map(|id| rel.relation.get(id))
-                    .for_each(&mut take);
+            Plan::ObjectScan { object } => {
+                let probe = RunProbe::Object(object);
+                self.elements.probe(self.visible, probe, &mut take);
                 0..0
             }
-            (Plan::ObjectScan { object }, Some(rel)) => {
-                rel.relation.iter_object_history(object).for_each(&mut take);
-                0..0
-            }
-            (Plan::AppendOrderSearch { from, to }, _) if ordered => {
+            Plan::AppendOrderSearch { from, to } if ordered => {
                 // The base order is also valid-time order; binary search
                 // the run, clipped to the visible prefix.
                 let lo = self.elements.partition_point(|e| e.valid.begin() < from);
                 let hi = self.elements.partition_point(|e| e.valid.begin() < to);
                 lo.min(self.visible)..hi.min(self.visible)
             }
-            (
-                Plan::FullScan
-                | Plan::PointProbe { .. }
-                | Plan::IntervalProbe { .. }
-                | Plan::ObjectScan { .. }
-                | Plan::AppendOrderSearch { .. },
-                _,
-            ) => 0..self.visible,
-            (Plan::TtPrefixScan { tt }, _) => 0..prefix(tt.min(pin)),
-            (Plan::TtWindowScan { band, from, to }, _) => {
+            Plan::FullScan | Plan::AppendOrderSearch { .. } => 0..self.visible,
+            Plan::TtPrefixScan { tt } => 0..prefix(tt.min(pin)),
+            Plan::TtWindowScan { band, from, to } => {
                 let (lo_edge, hi_edge) = tt_window_edges(self.schema, query, band, from, to);
                 // Elements stored after the pin are invisible regardless
                 // of the window.
                 self.elements.partition_point(|e| e.tt_begin < lo_edge)..prefix(hi_edge.min(pin))
             }
-            (Plan::EmptyScan, _) => 0..0,
+            Plan::EmptyScan => 0..0,
         };
         self.elements.range(scan).for_each(take);
-        // Per-operator execution latency, keyed by the plan's strategy
-        // name (`tempora_query_exec_seconds{operator=…}`).
-        sw.record(&tempora_obs::histogram_with(
-            "tempora_query_exec_seconds",
-            "operator",
-            strategy,
-        ));
         let returned = elements.len();
+        let metrics = OperatorMetrics::of(plan);
+        sw.record(&metrics.exec);
+        metrics.examined.add(examined as u64);
+        metrics.returned.add(returned as u64);
         QueryResult {
             elements,
             stats: ExecStats {
@@ -442,6 +351,40 @@ impl View<'_> {
                 strategy,
             },
         }
+    }
+}
+
+/// One operator's metrics, labelled `operator` = the plan's strategy name:
+/// `tempora_query_exec_seconds`, `tempora_query_examined_total` and
+/// `tempora_query_returned_total`. Resolved once per strategy, so a query
+/// takes no registry lock.
+struct OperatorMetrics {
+    exec: Arc<Histogram>,
+    examined: Arc<Counter>,
+    returned: Arc<Counter>,
+}
+
+impl OperatorMetrics {
+    fn of(plan: Plan) -> &'static OperatorMetrics {
+        static SLOTS: [OnceLock<OperatorMetrics>; 8] = [const { OnceLock::new() }; 8];
+        let slot = match plan {
+            Plan::FullScan => 0,
+            Plan::TtPrefixScan { .. } => 1,
+            Plan::AppendOrderSearch { .. } => 2,
+            Plan::TtWindowScan { .. } => 3,
+            Plan::PointProbe { .. } => 4,
+            Plan::IntervalProbe { .. } => 5,
+            Plan::ObjectScan { .. } => 6,
+            Plan::EmptyScan => 7,
+        };
+        SLOTS[slot].get_or_init(|| {
+            let operator = plan.strategy_name();
+            OperatorMetrics {
+                exec: tempora_obs::histogram_with("tempora_query_exec_seconds", "operator", operator),
+                examined: tempora_obs::counter_with("tempora_query_examined_total", "operator", operator),
+                returned: tempora_obs::counter_with("tempora_query_returned_total", "operator", operator),
+            }
+        })
     }
 }
 
@@ -568,7 +511,8 @@ mod tests {
         rel.delete(id).unwrap();
         let result = rel.execute(Query::Timeslice { vt: ts(5) });
         assert_eq!(result.stats.returned, 0);
-        assert_eq!(result.stats.examined, 0, "index entry must be gone");
+        // The run entry outlives the delete; the `tt_d` filter rejects it.
+        assert_eq!(result.stats.examined, 1);
         // Rollback still sees it.
         let rb = rel.execute(Query::Rollback { tt: ts(15) });
         assert_eq!(rb.stats.returned, 1);
@@ -609,8 +553,8 @@ mod tests {
 
     #[test]
     fn timeslice_routes_through_interval_index_not_a_scan() {
-        // Regression test for the unindexed-timeslice bug: with an
-        // interval tree maintained on the relation, the timeslice read
+        // Regression test for the unindexed-timeslice bug: with interval
+        // runs kept on the relation's chunks, the timeslice read
         // must probe it instead of scanning every element — and must
         // still agree with the exhaustive storage-level scan oracle.
         let schema = RelationSchema::builder("r", Stamping::Interval)

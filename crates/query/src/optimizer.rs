@@ -10,13 +10,15 @@
 //! 2. **Bounded relations** (two-sided offset band): convert the valid-time
 //!    predicate into a transaction-time window plus residual filter
 //!    ([`Plan::TtWindowScan`]).
-//! 3. Otherwise use the maintained valid-time index
-//!    ([`Plan::PointProbe`] / [`Plan::IntervalProbe`]).
+//! 3. Otherwise probe each storage chunk's valid-time run
+//!    ([`Plan::PointProbe`] / [`Plan::IntervalProbe`]). Runs keep every
+//!    element ever stored — a deletion is a `tt_d` filter at the reader's
+//!    pin — so one plan serves live, pinned and as-of reads.
 //!
 //! Rollback queries always use the transaction-prefix scan — the base
 //! order is transaction-time order for every representation (§2). Current
-//! queries scan the live set; object histories walk the per-surrogate
-//! partition.
+//! queries scan the live set; object histories probe each chunk's object
+//! run (the per-surrogate partition).
 
 use tempora_time::{TimeDelta, Timestamp};
 
@@ -105,14 +107,13 @@ pub fn plan_query(schema: &RelationSchema, query: Query) -> Plan {
         Query::Timeslice { vt } => plan_timeslice(schema, vt, vt.saturating_add(TimeDelta::RESOLUTION)),
         Query::TimesliceRange { from, to } => plan_timeslice(schema, from, to),
         Query::Bitemporal { tt, vt } => {
-            // The valid-time structures (point index / interval tree) track
-            // only *current* elements, so they cannot answer as-of queries;
-            // the tt-ordered base can. Prefer a band-driven window (the
-            // executor additionally clips it at `tt`), then ordered search,
-            // then the rollback prefix scan.
+            // Every valid-time access path answers as-of queries: the runs
+            // outlive deletions, the band-driven window is additionally
+            // clipped at `tt`, and the residual applies the as-of check.
+            // Without one, the rollback prefix scan beats a full scan.
             match plan_timeslice(schema, vt, vt.saturating_add(TimeDelta::RESOLUTION)) {
-                p @ (Plan::TtWindowScan { .. } | Plan::AppendOrderSearch { .. }) => p,
-                _ => Plan::TtPrefixScan { tt },
+                Plan::FullScan => Plan::TtPrefixScan { tt },
+                p => p,
             }
         }
     }

@@ -91,21 +91,21 @@ pub enum Plan {
         /// Exclusive valid-time upper bound of the probe.
         to: Timestamp,
     },
-    /// Probe the B-tree point index.
+    /// Probe each chunk's sorted run of event valid times.
     PointProbe {
         /// Inclusive valid-time lower bound.
         from: Timestamp,
         /// Exclusive valid-time upper bound.
         to: Timestamp,
     },
-    /// Stab / overlap-query the interval tree.
+    /// Stab / overlap-query each chunk's interval run.
     IntervalProbe {
         /// Inclusive valid-time lower bound.
         from: Timestamp,
         /// Exclusive valid-time upper bound.
         to: Timestamp,
     },
-    /// Walk one object's partition.
+    /// Walk one object's partition through each chunk's object run.
     ObjectScan {
         /// The object surrogate.
         object: ObjectId,

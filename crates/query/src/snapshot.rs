@@ -12,14 +12,16 @@
 //! Queries reuse the specialization-driven planner
 //! ([`crate::plan_query_annotated`]) and the live executor's plan loop and
 //! predicate: a live read is the same loop pinned at the newest state
-//! (snapshot reducibility), so the two cannot drift apart. Plans that need
-//! a maintained auxiliary index (point probe, interval stab) or the
-//! per-object partitions degrade to a prefix scan, while order-exploiting
-//! plans (tt-prefix, tt-window, append-order search) keep their binary
-//! searches — those need only the base order, which the view preserves,
-//! in either store mode. The executor takes no locks and touches no shared
-//! mutable state: a server thread can run it while ingest batches apply
-//! and WAL appends proceed.
+//! (snapshot reducibility), so the two cannot drift apart. Point probes,
+//! interval stabs and object scans probe the key runs the view's chunks
+//! share with the live store — sorted once per sealed chunk, never touched
+//! by a delete — and scan only the view's copy of the open tail, which is
+//! captured without its runs. Order-exploiting plans (tt-prefix,
+//! tt-window, append-order search) keep their binary searches — those
+//! need only the base order, which the view preserves, in either store
+//! mode. The executor takes no locks and touches no shared mutable state:
+//! a server thread can run it while ingest batches apply and WAL appends
+//! proceed.
 
 use std::sync::Arc;
 
@@ -106,7 +108,7 @@ impl SnapshotRelation {
             pin: self.pin,
             visible: self.visible,
         };
-        view.run(query, annotated.plan, annotated.residual, None)
+        view.run(query, annotated.plan, annotated.residual)
     }
 }
 
@@ -169,9 +171,9 @@ mod tests {
     fn snapshot_answers_match_live_answers_at_the_pin() {
         use tempora_core::spec::interevent::OrderingSpec;
         use tempora_core::Basis;
-        // Both store modes: the general store (point index live,
-        // `snapshot-scan` pinned) and the ordered one (append-order
-        // search on both paths). Valid times satisfy each schema.
+        // Both store modes: the general store (point runs) and the
+        // ordered one (append-order search). Valid times satisfy each
+        // schema.
         let general = RelationSchema::builder("r", Stamping::Event)
             .build()
             .unwrap();
@@ -301,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn index_probes_degrade_to_prefix_scan_but_stay_exact() {
+    fn index_probes_keep_their_plan_when_pinned() {
         let schema = RelationSchema::builder("r", Stamping::Event).build().unwrap();
         let clock = Arc::new(ManualClock::new(ts(0)));
         let mut rel = IndexedRelation::new(schema, clock.clone());
@@ -313,8 +315,38 @@ mod tests {
         let live = rel.execute(Query::Timeslice { vt: ts(50_000) });
         assert_eq!(live.stats.strategy, "point-probe");
         let snapped = snap.execute(Query::Timeslice { vt: ts(50_000) });
-        assert_eq!(snapped.stats.strategy, "snapshot-scan");
+        assert_eq!(snapped.stats.strategy, "point-probe");
         assert_eq!(sorted_ids(&snapped.elements), sorted_ids(&live.elements));
+    }
+
+    #[test]
+    fn pinned_probe_advances_the_operator_counters_by_its_stats() {
+        let schema = RelationSchema::builder("r", Stamping::Event).build().unwrap();
+        let clock = Arc::new(ManualClock::new(ts(0)));
+        let mut rel = IndexedRelation::new(schema, clock.clone());
+        for i in 0..3_000_i64 {
+            clock.set(ts(i + 1));
+            rel.insert(ObjectId::new(1), ts(i % 700), vec![]).unwrap();
+        }
+        let snap = snapshot_of(&rel, clock.now());
+        let q = Query::Timeslice { vt: ts(350) };
+        let counters = || {
+            let m = tempora_obs::snapshot();
+            (
+                m.counter_labelled("tempora_query_examined_total", "point-probe").unwrap_or(0),
+                m.counter_labelled("tempora_query_returned_total", "point-probe").unwrap_or(0),
+            )
+        };
+        // Other tests in this binary run point probes concurrently; a
+        // quiet attempt must match exactly.
+        let exact = (0..200).any(|_| {
+            let before = counters();
+            let stats = snap.execute(q).stats;
+            let after = counters();
+            assert_eq!((stats.strategy, stats.returned), ("point-probe", 4));
+            (after.0 - before.0, after.1 - before.1) == (stats.examined as u64, stats.returned as u64)
+        });
+        assert!(exact, "counters never advanced by exactly the probe's stats");
     }
 
     #[test]

@@ -11,15 +11,23 @@
 //! [`Arc::make_mut`], so a writer touching a chunk some snapshot still
 //! holds pays one chunk-sized copy and never disturbs the reader.
 //!
+//! Next to its elements each chunk keeps the key runs of
+//! [`tempora_index::ChunkRuns`] — an object run, plus a valid-time run
+//! where the relation's index choice asks for one. The open tail appends
+//! keys unsorted; they are sorted once when the chunk seals, and never
+//! touched by a delete, so a copy-on-write copy shares them.
+//!
 //! The result, [`ElementChunks`], is an immutable view that outlives any
 //! lock: snapshot queries execute against it without blocking ingest, and
 //! ingest never blocks them. The live store dereferences to the same view
-//! type, so live and pinned reads share one set of positional reads.
+//! type, so live and pinned reads share one set of positional reads and
+//! one probe ([`ElementChunks::probe`]).
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use tempora_core::Element;
+use tempora_index::{ChunkRuns, RunProbe};
 
 /// Elements per sealed chunk. Every sealed chunk holds exactly this many
 /// elements, so position ↔ (chunk, offset) is pure index math; only the
@@ -28,58 +36,103 @@ use tempora_core::Element;
 /// amortizing the per-chunk `Arc` overhead.
 pub const CHUNK_CAP: usize = 1024;
 
+/// One chunk: its elements and the key runs over them.
+#[derive(Debug, Clone)]
+struct Chunk {
+    elements: Vec<Element>,
+    /// Key runs over `elements`, shared by a copy-on-write copy. A
+    /// snapshot's copy of the open tail has none: capture copies no run.
+    runs: Option<Arc<ChunkRuns>>,
+}
+
 /// Append-mostly element storage in copy-on-write chunks.
 ///
 /// Maintains the same ordering contract as a plain `Vec<Element>` held in
 /// `tt_b` order; all binary searches work on global positions. Reads go
 /// through the [`ElementChunks`] view it dereferences to.
 #[derive(Debug, Default, Clone)]
-pub struct ChunkedElements(ElementChunks);
+pub struct ChunkedElements {
+    view: ElementChunks,
+    /// The empty runs every new chunk starts from.
+    runs: ChunkRuns,
+}
 
 impl ChunkedElements {
-    /// Empty storage.
+    /// Empty storage keeping the object run alone.
     #[must_use]
     pub fn new() -> Self {
         ChunkedElements::default()
     }
 
+    /// Empty storage whose chunks keep runs of the kinds in `runs` (see
+    /// [`ChunkRuns::new`]).
+    #[must_use]
+    pub fn with_runs(runs: ChunkRuns) -> Self {
+        ChunkedElements {
+            view: ElementChunks::default(),
+            runs,
+        }
+    }
+
     /// Appends an element, opening a new tail chunk when the current one
-    /// is full.
+    /// is full, and seals the tail's runs when it fills.
     pub fn push(&mut self, element: Element) {
-        let view = &mut self.0;
-        match view.chunks.last_mut() {
-            Some(tail) if tail.len() < CHUNK_CAP => Arc::make_mut(tail).push(element),
-            _ => {
-                let mut tail = Vec::with_capacity(CHUNK_CAP);
-                tail.push(element);
-                view.chunks.push(Arc::new(tail));
-            }
+        let view = &mut self.view;
+        if view.chunks.last().is_none_or(|t| t.elements.len() == CHUNK_CAP) {
+            view.chunks.push(Arc::new(Chunk {
+                elements: Vec::with_capacity(CHUNK_CAP),
+                runs: Some(Arc::new(self.runs.clone())),
+            }));
+        }
+        let tail = Arc::make_mut(view.chunks.last_mut().expect("a tail chunk"));
+        let runs = Arc::make_mut(tail.runs.as_mut().expect("the live tail keeps its runs"));
+        runs.push(&element);
+        tail.elements.push(element);
+        if tail.elements.len() == CHUNK_CAP {
+            runs.seal();
         }
         view.len += 1;
     }
 
     /// Mutable access at global position `index`. If the chunk is shared
-    /// with a snapshot this copies that one chunk first (copy-on-write);
-    /// the snapshot keeps the original.
+    /// with a snapshot this copies that one chunk's elements first
+    /// (copy-on-write) and shares its runs; the snapshot keeps the
+    /// original.
     pub fn get_mut(&mut self, index: usize) -> Option<&mut Element> {
-        if index >= self.0.len {
+        if index >= self.view.len {
             return None;
         }
-        Arc::make_mut(&mut self.0.chunks[index / CHUNK_CAP]).get_mut(index % CHUNK_CAP)
+        Arc::make_mut(&mut self.view.chunks[index / CHUNK_CAP])
+            .elements
+            .get_mut(index % CHUNK_CAP)
     }
 
     /// An immutable view of the current contents: sealed chunks are
-    /// shared by pointer, a partly filled tail is copied (bounded by
-    /// [`CHUNK_CAP`]) so later appends never copy on write. Cost is
-    /// O(chunks + tail), independent of element count in the sealed
-    /// region.
+    /// shared by pointer, a partly filled tail's elements are copied
+    /// (bounded by [`CHUNK_CAP`]) without its runs, so later appends never
+    /// copy on write. Cost is O(chunks + tail), independent of element
+    /// count in the sealed region.
     #[must_use]
     pub fn snapshot(&self) -> ElementChunks {
-        let mut view = self.0.clone();
-        if let Some(tail) = view.chunks.last_mut().filter(|t| t.len() < CHUNK_CAP) {
-            *tail = Arc::new(Vec::clone(tail));
+        let mut view = self.view.clone();
+        if let Some(tail) = view.chunks.last_mut().filter(|t| t.elements.len() < CHUNK_CAP) {
+            *tail = Arc::new(Chunk {
+                elements: tail.elements.clone(),
+                runs: None,
+            });
         }
         view
+    }
+
+    /// Keeps only the elements `keep` selects, rebuilding chunks and runs
+    /// when any is dropped.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Element) -> bool) {
+        let kept: Vec<Element> = self.iter().filter(|e| keep(e)).cloned().collect();
+        if kept.len() != self.len() {
+            let mut rebuilt = ChunkedElements::with_runs(self.runs.clone());
+            kept.into_iter().for_each(|e| rebuilt.push(e));
+            *self = rebuilt;
+        }
     }
 
     /// Builds from a plain ordered vector.
@@ -97,7 +150,7 @@ impl Deref for ChunkedElements {
     type Target = ElementChunks;
 
     fn deref(&self) -> &ElementChunks {
-        &self.0
+        &self.view
     }
 }
 
@@ -109,7 +162,7 @@ impl Deref for ChunkedElements {
 pub struct ElementChunks {
     /// Sealed chunks (shared with any live snapshots) followed by the open
     /// tail, which is never empty.
-    chunks: Vec<Arc<Vec<Element>>>,
+    chunks: Vec<Arc<Chunk>>,
     len: usize,
 }
 
@@ -132,18 +185,18 @@ impl ElementChunks {
         if index >= self.len {
             return None;
         }
-        Some(&self.chunks[index / CHUNK_CAP][index % CHUNK_CAP])
+        Some(&self.chunks[index / CHUNK_CAP].elements[index % CHUNK_CAP])
     }
 
     /// The most recently appended element.
     #[must_use]
     pub fn last(&self) -> Option<&Element> {
-        self.chunks.last().and_then(|c| c.last())
+        self.chunks.last().and_then(|c| c.elements.last())
     }
 
     /// All elements in append order.
     pub fn iter(&self) -> impl Iterator<Item = &Element> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter())
+        self.chunks.iter().flat_map(|c| c.elements.iter())
     }
 
     /// Elements in the global position range, walked one chunk slice at a
@@ -157,8 +210,30 @@ impl ElementChunks {
             .enumerate()
             .flat_map(move |(k, chunk)| {
                 let base = (first + k) * CHUNK_CAP;
-                chunk[start.saturating_sub(base)..(end - base).min(chunk.len())].iter()
+                chunk.elements[start.saturating_sub(base)..(end - base).min(chunk.elements.len())]
+                    .iter()
             })
+    }
+
+    /// Visits, in position order, every element among the first `visible`
+    /// positions that `probe` may match. A chunk with a run for the probe
+    /// is probed; any other chunk — a snapshot's copy of the open tail, or
+    /// a relation that keeps no such run — is scanned whole, so `visit`
+    /// sees a superset of the matches and must apply the predicate.
+    pub fn probe<'a>(&'a self, visible: usize, probe: RunProbe, mut visit: impl FnMut(&'a Element)) {
+        let visible = visible.min(self.len);
+        let mut hits = Vec::new();
+        for (k, chunk) in self.chunks[..visible.div_ceil(CHUNK_CAP)].iter().enumerate() {
+            let elements = &chunk.elements[..(visible - k * CHUNK_CAP).min(chunk.elements.len())];
+            hits.clear();
+            if chunk.runs.as_ref().is_some_and(|r| r.probe(probe, &mut hits)) {
+                hits.iter()
+                    .take_while(|&&o| o < elements.len())
+                    .for_each(|&o| visit(&elements[o]));
+            } else {
+                elements.iter().for_each(&mut visit);
+            }
+        }
     }
 
     /// The first position for which `pred` is false, assuming the

@@ -109,16 +109,14 @@ pub struct TemporalRelation {
 
 impl TemporalRelation {
     /// Creates a relation, choosing the physical representation from the
-    /// schema: relations whose declarations guarantee valid-time-ordered
-    /// arrival (degenerate, relation-wide sequential or non-decreasing) get
-    /// the store's ordered mode, where valid-time reads are binary searches.
+    /// schema through [`tempora_index::select_index`]: relations whose
+    /// declarations guarantee valid-time-ordered arrival (degenerate,
+    /// relation-wide sequential or non-decreasing) get the store's ordered
+    /// mode, where valid-time reads are binary searches; relations that
+    /// need a dedicated valid-time index get its per-chunk runs.
     #[must_use]
     pub fn new(schema: Arc<RelationSchema>, clock: Arc<dyn TransactionClock>) -> Self {
-        let store = if schema.is_degenerate() || schema.is_vt_ordered() {
-            TupleStore::new_vt_ordered()
-        } else {
-            TupleStore::new()
-        };
+        let store = TupleStore::for_index(tempora_index::select_index(&schema));
         TemporalRelation {
             engine: ConstraintEngine::new(Arc::clone(&schema)),
             schema,
@@ -613,12 +611,6 @@ impl TemporalRelation {
     #[must_use]
     pub fn snapshot_elements(&self) -> ElementChunks {
         self.store.snapshot()
-    }
-
-    /// Every element of one object's life-line (current and deleted), in
-    /// transaction-time order.
-    pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
-        self.store.iter_object_history(object)
     }
 
     /// Number of elements ever stored.

@@ -17,12 +17,16 @@
 //! is *also* valid-time order; the ordered mode enforces that on insert,
 //! so valid-timeslice reads become binary searches
 //! ([`TupleStore::slice_by_vt_begin`]) with no extra index.
+//!
+//! Per-object partitions and any dedicated valid-time index are the key
+//! runs each storage chunk keeps (see [`crate::chunks`]).
 
 use std::collections::HashMap;
 
 use tempora_time::Timestamp;
 
 use tempora_core::{CoreError, Element, ElementId, ObjectId};
+use tempora_index::{ChunkRuns, IndexChoice, RunProbe};
 
 use crate::chunks::{ChunkedElements, ElementChunks};
 
@@ -35,20 +39,13 @@ use crate::chunks::{ChunkedElements, ElementChunks};
 #[derive(Debug, Default, Clone)]
 pub struct TupleStore {
     /// All elements ever stored, in `tt_b` order (append-only; deletion is
-    /// logical — it sets `tt_end`). Copy-on-write chunks so snapshots
-    /// share storage with the live store (see [`crate::chunks`]).
+    /// logical — it sets `tt_end`). Copy-on-write chunks, with their key
+    /// runs, so snapshots share storage with the live store (see
+    /// [`crate::chunks`]).
     elements: ChunkedElements,
     /// Element surrogate → position in `elements`, so point lookups and
     /// logical deletion stay O(1) instead of scanning.
     by_id: HashMap<ElementId, usize>,
-    /// Every element ever stored per object (the per-surrogate partitions,
-    /// §2/§3) as a chain through positions: each object's newest position
-    /// here, and each position's predecessor of the same object in
-    /// `prev_of_object`. A chain rather than a list per object keeps an
-    /// insert to one map update and no allocation, which matters on the
-    /// recovery replay of every relation.
-    last_of_object: HashMap<ObjectId, usize>,
-    prev_of_object: Vec<Option<usize>>,
     /// Whether arrival order is also valid-begin order (the ordered mode).
     vt_ordered: bool,
     /// Elements examined while locating delete targets (cumulative).
@@ -58,10 +55,23 @@ pub struct TupleStore {
 }
 
 impl TupleStore {
-    /// An empty store.
+    /// An empty store keeping the object run alone.
     #[must_use]
     pub fn new() -> Self {
         TupleStore::default()
+    }
+
+    /// An empty store for a relation whose valid-time access is `choice`
+    /// (from [`tempora_index::select_index`]): its chunks keep the runs
+    /// the choice asks for, and [`IndexChoice::AppendOrder`] selects the
+    /// ordered mode.
+    #[must_use]
+    pub fn for_index(choice: IndexChoice) -> Self {
+        TupleStore {
+            elements: ChunkedElements::with_runs(ChunkRuns::new(choice)),
+            vt_ordered: choice == IndexChoice::AppendOrder,
+            ..TupleStore::default()
+        }
     }
 
     /// An empty store in the ordered mode: valid begins must be
@@ -70,10 +80,7 @@ impl TupleStore {
     /// non-decreasing relations).
     #[must_use]
     pub fn new_vt_ordered() -> Self {
-        TupleStore {
-            vt_ordered: true,
-            ..TupleStore::default()
-        }
+        TupleStore::for_index(IndexChoice::AppendOrder)
     }
 
     /// Whether the store is in the ordered mode.
@@ -107,17 +114,9 @@ impl TupleStore {
     /// bypassed).
     pub fn insert(&mut self, element: Element) -> Result<(), CoreError> {
         self.check_insert(&element)?;
-        self.push(element);
-        Ok(())
-    }
-
-    /// Stores an element [`Self::check_insert`] accepted.
-    fn push(&mut self, element: Element) {
-        let position = self.elements.len();
-        self.by_id.insert(element.id, position);
-        let prev = self.last_of_object.insert(element.object, position);
-        self.prev_of_object.push(prev);
+        self.by_id.insert(element.id, self.elements.len());
         self.elements.push(element);
+        Ok(())
     }
 
     /// Every check [`Self::insert`] makes, without storing anything.
@@ -226,15 +225,13 @@ impl TupleStore {
     }
 
     /// Every element ever stored for one object, in insertion order —
-    /// the full life-line including logically deleted elements.
+    /// the full life-line including logically deleted elements, found
+    /// through each chunk's object run.
     pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
-        let mut chain = Vec::new();
-        let mut at = self.last_of_object.get(&object).copied();
-        while let Some(position) = at {
-            chain.push(position);
-            at = self.prev_of_object[position];
-        }
-        chain.into_iter().rev().filter_map(|p| self.elements.get(p))
+        let mut history = Vec::new();
+        self.elements
+            .probe(self.len(), RunProbe::Object(object), |e| history.push(e));
+        history.into_iter().filter(move |e| e.object == object)
     }
 
     /// Elements with `tt_b` in the inclusive window `[lo, hi]` — a binary-
@@ -305,21 +302,9 @@ impl TupleStore {
     /// reclaimed range, so the caller decides the retention policy.
     pub fn reclaim(&mut self, mut keep: impl FnMut(&Element) -> bool) -> usize {
         let before = self.elements.len();
-        let kept: Vec<Element> = self
-            .elements
-            .iter()
-            .filter(|e| e.is_current() || keep(e))
-            .cloned()
-            .collect();
-        if kept.len() != before {
-            *self = TupleStore {
-                vt_ordered: self.vt_ordered,
-                locate_probes: self.locate_probes,
-                ..TupleStore::default()
-            };
-            for e in kept {
-                self.push(e);
-            }
+        self.elements.retain(|e| e.is_current() || keep(e));
+        if self.elements.len() != before {
+            self.by_id = self.elements.iter().enumerate().map(|(i, e)| (e.id, i)).collect();
         }
         before - self.elements.len()
     }

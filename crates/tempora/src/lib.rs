@@ -42,7 +42,7 @@
 //!   algebra, lattices (Figures 2–5), constraint engine, inference;
 //! * [`storage`] — tuple store, backlog, append log,
 //!   the [`TemporalRelation`](tempora_storage::TemporalRelation) façade, vacuuming;
-//! * [`index`] — point index, interval tree, tt-proxy;
+//! * [`index`] — per-chunk object, point and interval key runs, tt-proxy;
 //! * [`analyze`] — design-time static analysis: schema
 //!   satisfiability, redundancy, and predicate proofs (TS0xx diagnostics);
 //! * [`query`] — plans, the specialization-driven

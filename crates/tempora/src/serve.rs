@@ -614,6 +614,45 @@ mod tests {
     }
 
     #[test]
+    fn served_index_plans_stay_o_answer() {
+        use tempora_core::ObjectId;
+        use tempora_storage::CHUNK_CAP;
+        let (db, clock) = served_db();
+        // 5 000 rows over 50 objects, valid times a scrambled permutation
+        // of the first 5 000 seconds: four sealed chunks and a tail.
+        for i in 0..5_000_i64 {
+            clock.set(Timestamp::from_secs(10_000 + i));
+            let object = ObjectId::new(u64::try_from(i % 50).unwrap());
+            db.insert("plant", object, Timestamp::from_secs(i * 7_919 % 5_000), vec![])
+                .expect("insert");
+        }
+        // The stats line: `<strategy>: examined <n> returned <m>`.
+        let stats = |request: &str| -> (String, usize, usize) {
+            let response = Response::parse(&handle_request(&db, request));
+            assert!(matches!(response.status, ResponseStatus::Ok { .. }), "{response:?}");
+            let line = response.body.lines().next().unwrap_or_default().to_string();
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let [strategy, "examined", examined, "returned", returned] = words[..] else {
+                panic!("stats line {line:?}");
+            };
+            let count = |n: &str| n.parse::<usize>().expect("a count");
+            (strategy.trim_end_matches(':').to_string(), count(examined), count(returned))
+        };
+        for vt in [0, 1_234, 4_999] {
+            let at = Timestamp::from_secs(vt);
+            let (strategy, examined, returned) = stats(&format!("SELECT FROM plant AT {at}"));
+            assert_eq!((strategy.as_str(), returned), ("point-probe", 1));
+            assert!(examined <= 1 + CHUNK_CAP, "AT {at}: examined {examined}");
+        }
+        for object in [0, 17, 49] {
+            let (strategy, examined, returned) =
+                stats(&format!("SELECT FROM plant HISTORY OF {object}"));
+            assert_eq!((strategy.as_str(), returned), ("object-scan", 100));
+            assert!(examined <= returned + CHUNK_CAP, "HISTORY OF {object}: examined {examined}");
+        }
+    }
+
+    #[test]
     fn dispatch_rejects_unknown_statements_and_relations() {
         let (db, _) = served_db();
         let r = Response::parse(&handle_request(&db, "EXPLODE plant"));

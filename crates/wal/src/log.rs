@@ -192,8 +192,6 @@ impl Wal {
         }
         self.file.sync()?;
         tempora_obs::counter("tempora_wal_fsyncs_total").inc();
-        tempora_obs::histogram("tempora_wal_group_commit_batch")
-            .record_us(self.unsynced as u64);
         self.unsynced = 0;
         Ok(())
     }
