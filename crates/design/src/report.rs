@@ -63,8 +63,7 @@ pub fn schema_report(schema: &RelationSchema) -> String {
             IndexChoice::TtProxy(b) =>
                 format!("tt-proxy window probe via {b} (no valid-time index)"),
             IndexChoice::PointIndex => "sorted point run per storage chunk".to_string(),
-            IndexChoice::IntervalTree =>
-                "interval run with an implicit max-end tree per storage chunk".to_string(),
+            IndexChoice::IntervalTree => "begin-sorted interval run per storage chunk".to_string(),
         }
     );
 

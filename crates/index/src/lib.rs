@@ -8,8 +8,8 @@
 //! * [`ChunkRuns`] — the per-chunk key runs storage keeps next to its
 //!   elements: an object run for every relation, and where the selector
 //!   asks for a dedicated valid-time index, a sorted point run (event
-//!   relations) or a begin-sorted interval run with an implicit max-end
-//!   tree (interval relations). Runs are sorted once when a chunk seals
+//!   relations) or a begin-sorted interval run with the chunk's longest
+//!   length (interval relations). Runs are sorted once when a chunk seals
 //!   and never touched by a delete, so one index serves every pinned read;
 //! * [`tt_proxy`] — *the specialization payoff*: when a relation's declared
 //!   offset band bounds `vt − tt`, a valid-time predicate converts into a

@@ -10,8 +10,8 @@
 //! * a **valid-time run** only where [`select_index`](crate::select_index)
 //!   picks a dedicated index: event times for [`IndexChoice::PointIndex`],
 //!   and for [`IndexChoice::IntervalTree`] intervals sorted by begin with
-//!   an implicit max-end tree over the sorted array (stabbing and overlap
-//!   probes in `O(log n + k)`).
+//!   the chunk's longest length (a probe searches past the begins too
+//!   early to reach it and filters at most one chunk of keys).
 //!
 //! While a chunk is open its keys are appended unsorted and a probe
 //! filters them linearly; when the chunk seals they are sorted once. A run
@@ -164,83 +164,39 @@ impl<K: Ord + Copy> KeyRun<K> {
 }
 
 /// Half-open intervals `[begin, end)` in microseconds, tagged with their
-/// offset. Sealed, they are sorted by begin and carry an implicit
-/// augmented tree over the sorted array (the layout of Li's `cgranges`):
-/// node `i` sits at level `k` = the number of trailing one bits of `i`,
-/// its children at `i ∓ 2^(k−1)`, and `max_end[i]` bounds the ends in its
-/// subtree, so an overlap probe skips every subtree that ends too early.
+/// offset. Sealed, they are sorted by begin and keep the longest length
+/// among them: no interval that begins at or before `from − max_len` can
+/// reach past `from`, so an overlap probe binary searches past those
+/// begins and filters the rest, up to the first begin at or after `to`.
 #[derive(Debug, Clone, Default)]
 struct IntervalRun {
     entries: Vec<(i64, i64, u32)>,
-    max_end: Vec<i64>,
-    root_level: u32,
+    max_len: i64,
 }
 
 impl IntervalRun {
     fn push(&mut self, begin: i64, end: i64) {
         let offset = u32::try_from(self.entries.len()).expect("chunk offsets fit u32");
         self.entries.push((begin, end, offset));
+        self.max_len = self.max_len.max(end.saturating_sub(begin));
     }
 
     fn seal(&mut self) {
         self.entries.sort_unstable();
-        let n = self.entries.len();
-        self.max_end = self.entries.iter().map(|e| e.1).collect();
-        if n == 0 {
-            return;
-        }
-        let max = &mut self.max_end;
-        // The rightmost node of the current level and the max end under
-        // it, standing in for right children past the array's end.
-        let mut last_i = (n - 1) & !1;
-        let mut last = max[last_i];
-        let mut k = 1;
-        while 1usize << k <= n {
-            let x = 1usize << (k - 1);
-            for i in ((2 * x - 1)..n).step_by(4 * x) {
-                let right = if i + x < n { max[i + x] } else { last };
-                max[i] = max[i].max(max[i - x]).max(right);
-            }
-            last_i = if (last_i >> k) & 1 == 1 { last_i - x } else { last_i + x };
-            if last_i < n && max[last_i] > last {
-                last = max[last_i];
-            }
-            k += 1;
-        }
-        self.root_level = k - 1;
     }
 
     /// Offsets of the intervals with `begin < to && end > from`.
     fn overlapping(&self, sealed: bool, from: i64, to: i64, hits: &mut Vec<usize>) {
-        let meets = |&(b, e, _): &(i64, i64, u32)| b < to && e > from;
+        let meets = |&&(b, e, _): &&(i64, i64, u32)| b < to && e > from;
         if !sealed {
-            hits.extend(self.entries.iter().filter(|e| meets(e)).map(|e| e.2 as usize));
+            hits.extend(self.entries.iter().filter(meets).map(|e| e.2 as usize));
             return;
         }
-        let n = self.entries.len();
-        // (node, level, left subtree done); depth ≤ 2 × levels.
-        let mut stack = vec![((1usize << self.root_level) - 1, self.root_level, false)];
-        while let Some((x, k, left_done)) = stack.pop() {
-            if k <= 3 {
-                // A small subtree: walk it in order until begins pass `to`.
-                let first = x >> k << k;
-                let end = (first + (1 << (k + 1)) - 1).min(n);
-                let subtree = self.entries[first.min(end)..end].iter().take_while(|e| e.0 < to);
-                hits.extend(subtree.filter(|e| e.1 > from).map(|e| e.2 as usize));
-            } else if !left_done {
-                let y = x - (1 << (k - 1));
-                stack.push((x, k, true));
-                // A left child past the end may still have children inside.
-                if y >= n || self.max_end[y] > from {
-                    stack.push((y, k - 1, false));
-                }
-            } else if x < n && self.entries[x].0 < to {
-                if meets(&self.entries[x]) {
-                    hits.push(self.entries[x].2 as usize);
-                }
-                stack.push((x + (1 << (k - 1)), k - 1, false));
-            }
-        }
+        let start = from
+            .checked_sub(self.max_len)
+            .map_or(0, |floor| self.entries.partition_point(|e| e.0 <= floor));
+        let candidates = self.entries[start..].iter().take_while(|e| e.0 < to);
+        hits.extend(candidates.filter(meets).map(|e| e.2 as usize));
     }
 }
 
@@ -330,9 +286,9 @@ mod tests {
     #[test]
     fn interval_stab_and_overlap_match_brute_force() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        // Every small size (partial right subtrees at each level), then
-        // sizes around powers of two; a few intervals much longer than
-        // the rest, so max-end pruning decides the answer.
+        // Every small size, then sizes around powers of two; a few
+        // intervals much longer than the rest, so the longest length
+        // decides where a probe starts.
         for n in (0..=70).chain([100, 255, 256, 257, 511, 512, 1000, 1023, 1024]) {
             let elements: Vec<Element> = (0..n)
                 .map(|i| {

@@ -10,8 +10,8 @@
 //!    two-sidedly bounded offset band gets the **tt-proxy** strategy
 //!    (valid-time predicates become transaction-time ranges);
 //! 3. otherwise a dedicated valid-time index is required: a sorted point
-//!    run for event relations, an interval run with an implicit max-end
-//!    tree for interval relations, kept per storage chunk (see
+//!    run for event relations, a begin-sorted interval run for interval
+//!    relations, kept per storage chunk (see
 //!    [`ChunkRuns`](crate::ChunkRuns)).
 
 use tempora_core::region::OffsetBand;
@@ -31,8 +31,8 @@ pub enum IndexChoice {
     ),
     /// Keep a sorted run of event valid times per storage chunk.
     PointIndex,
-    /// Keep a begin-sorted run of valid intervals, with an implicit
-    /// max-end tree, per storage chunk.
+    /// Keep a begin-sorted run of valid intervals, with their longest
+    /// length, per storage chunk.
     IntervalTree,
 }
 

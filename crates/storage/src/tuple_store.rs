@@ -25,8 +25,8 @@ use std::collections::HashMap;
 
 use tempora_time::Timestamp;
 
-use tempora_core::{CoreError, Element, ElementId, ObjectId};
-use tempora_index::{ChunkRuns, IndexChoice, RunProbe};
+use tempora_core::{CoreError, Element, ElementId};
+use tempora_index::{ChunkRuns, IndexChoice};
 
 use crate::chunks::{ChunkedElements, ElementChunks};
 
@@ -219,21 +219,6 @@ impl TupleStore {
         self.elements.range(0..end).filter(move |e| e.existed_at(tt))
     }
 
-    /// Current elements of one object's partition (life-line).
-    pub fn iter_object(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
-        self.iter_object_history(object).filter(|e| e.is_current())
-    }
-
-    /// Every element ever stored for one object, in insertion order —
-    /// the full life-line including logically deleted elements, found
-    /// through each chunk's object run.
-    pub fn iter_object_history(&self, object: ObjectId) -> impl Iterator<Item = &Element> + '_ {
-        let mut history = Vec::new();
-        self.elements
-            .probe(self.len(), RunProbe::Object(object), |e| history.push(e));
-        history.into_iter().filter(move |e| e.object == object)
-    }
-
     /// Elements with `tt_b` in the inclusive window `[lo, hi]` — a binary-
     /// searched contiguous run of the transaction-time order, the probe the
     /// tt-proxy strategy issues.
@@ -313,7 +298,8 @@ impl TupleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_core::ValidTime;
+    use tempora_core::{ObjectId, ValidTime};
+    use tempora_index::RunProbe;
 
     fn ts(s: i64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -397,23 +383,31 @@ mod tests {
         assert_eq!(at(45), vec![2, 3]);
     }
 
+    /// Every element ever stored for one object, in insertion order, as
+    /// the object scan probes it: each chunk's object run selects exactly
+    /// the object's elements, deleted ones included.
+    fn object_history(store: &TupleStore, obj: u64) -> Vec<&Element> {
+        let mut history = Vec::new();
+        let probe = RunProbe::Object(ObjectId::new(obj));
+        store.elements().probe(store.len(), probe, |e| history.push(e));
+        history
+    }
+
+    fn ids<'a>(elements: impl IntoIterator<Item = &'a Element>) -> Vec<u64> {
+        elements.into_iter().map(|e| e.id.raw()).collect()
+    }
+
     #[test]
     fn per_object_partition() {
         let mut store = TupleStore::new();
         store.insert(el(1, 1, 5, 10)).unwrap();
         store.insert(el(2, 2, 6, 11)).unwrap();
         store.insert(el(3, 1, 7, 12)).unwrap();
-        let obj1: Vec<u64> = store
-            .iter_object(ObjectId::new(1))
-            .map(|e| e.id.raw())
-            .collect();
-        assert_eq!(obj1, vec![1, 3]);
+        assert_eq!(ids(object_history(&store, 1)), vec![1, 3]);
         store.delete(ElementId::new(1), ts(20)).unwrap();
-        let obj1b: Vec<u64> = store
-            .iter_object(ObjectId::new(1))
-            .map(|e| e.id.raw())
-            .collect();
-        assert_eq!(obj1b, vec![3]);
+        let history = object_history(&store, 1);
+        assert_eq!(ids(history.iter().copied()), vec![1, 3]);
+        assert_eq!(ids(history.into_iter().filter(|e| e.is_current())), vec![3]);
     }
 
     #[test]
@@ -439,12 +433,7 @@ mod tests {
         for i in [0, 4, 5] {
             store.delete(ElementId::new(i), ts(100)).unwrap();
         }
-        let history = |store: &TupleStore, obj: u64| -> Vec<u64> {
-            store
-                .iter_object_history(ObjectId::new(obj))
-                .map(|e| e.id.raw())
-                .collect()
-        };
+        let history = |store: &TupleStore, obj: u64| ids(object_history(store, obj));
         assert_eq!(history(&store, 1), vec![1, 4, 7, 10]);
         // Reclaim element 4 only: the partitions are rebuilt around it.
         assert_eq!(store.reclaim(|e| e.id.raw() != 4), 1);
