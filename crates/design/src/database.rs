@@ -117,8 +117,6 @@ pub struct Database {
     relations: RwLock<BTreeMap<String, IndexedRelation>>,
     /// Declared flow chains: (upstream, downstream) → specialization.
     chains: RwLock<BTreeMap<(String, String), ChainSpec>>,
-    /// Memoized current-tick snapshot, invalidated by every write path.
-    snapshot_cache: RwLock<Option<Arc<DbSnapshot>>>,
 }
 
 impl Database {
@@ -129,18 +127,26 @@ impl Database {
             clock,
             relations: RwLock::new(BTreeMap::new()),
             chains: RwLock::new(BTreeMap::new()),
-            snapshot_cache: RwLock::new(None),
         }
     }
 
-    /// Captures an immutable [`DbSnapshot`] pinned at the clock's current
-    /// reading: every write stamped so far is visible, nothing stamped
-    /// later will be. O(chunks + tail) per relation — sealed storage
-    /// chunks are shared, not copied — so snapshots are cheap enough to
-    /// take per served request.
+    /// Captures an immutable [`DbSnapshot`] of the current state, pinned
+    /// at the newest stamp any write has left: every applied write is
+    /// visible, and the clock stamps every later write above the pin, so
+    /// [`Self::snapshot_at`] at the pin re-derives exactly this view (a
+    /// pin at the clock's reading could be stamped again by the next
+    /// write). Per relation the capture is one clone of the storage chunk
+    /// list's `Arc` plus its length — no element is copied — so a
+    /// snapshot is cheap enough to take per served request.
     #[must_use]
     pub fn snapshot(&self) -> DbSnapshot {
-        self.snapshot_at(self.clock.now())
+        let relations = self.relations.read();
+        let pin = relations
+            .values()
+            .filter_map(|rel| rel.relation().newest_stamp())
+            .max()
+            .unwrap_or(Timestamp::MIN);
+        Self::capture(&relations, pin)
     }
 
     /// Captures a snapshot pinned at an arbitrary transaction tick.
@@ -149,7 +155,10 @@ impl Database {
     /// invisible and deletions stamped later are unwound.
     #[must_use]
     pub fn snapshot_at(&self, pin: Timestamp) -> DbSnapshot {
-        let relations = self.relations.read();
+        Self::capture(&self.relations.read(), pin)
+    }
+
+    fn capture(relations: &BTreeMap<String, IndexedRelation>, pin: Timestamp) -> DbSnapshot {
         let pinned = relations
             .iter()
             .map(|(name, rel)| {
@@ -166,31 +175,13 @@ impl Database {
         DbSnapshot::assemble(pin, pinned)
     }
 
-    /// A shared snapshot of the current state, memoized until the next
-    /// write. Concurrent readers between two writes reuse one capture;
-    /// after any insert/delete/modify/batch/DDL the next call re-captures.
-    /// This is the serving layer's read path: queries run against the
-    /// returned snapshot without holding any database lock.
+    /// A fresh [`Self::snapshot`] of the current state, shared. This is
+    /// the serving layer's read path: queries run against the returned
+    /// snapshot without holding any database lock. A capture copies no
+    /// element, so every read takes its own.
     #[must_use]
     pub fn latest_snapshot(&self) -> Arc<DbSnapshot> {
-        if let Some(cached) = self.snapshot_cache.read().as_ref() {
-            return Arc::clone(cached);
-        }
-        // Capture under the cache write lock: writers invalidate only
-        // after releasing the relations lock, so an invalidation racing
-        // this capture is forced to run after our store and clears it —
-        // a stale snapshot can never be left masquerading as fresh.
-        let mut slot = self.snapshot_cache.write();
-        if let Some(cached) = slot.as_ref() {
-            return Arc::clone(cached);
-        }
-        let fresh = Arc::new(self.snapshot());
-        *slot = Some(Arc::clone(&fresh));
-        fresh
-    }
-
-    fn invalidate_snapshot(&self) {
-        *self.snapshot_cache.write() = None;
+        Arc::new(self.snapshot())
     }
 
     /// Executes a `CREATE TEMPORAL RELATION` statement, creating the
@@ -232,17 +223,14 @@ impl Database {
                 return Err(DbError::Analysis(analysis.diagnostics));
             }
         }
-        {
-            let mut relations = self.relations.write();
-            if relations.contains_key(schema.name()) {
-                return Err(DbError::DuplicateRelation(schema.name().to_string()));
-            }
-            relations.insert(
-                schema.name().to_string(),
-                IndexedRelation::new(Arc::clone(&schema), Arc::clone(&self.clock)),
-            );
+        let mut relations = self.relations.write();
+        if relations.contains_key(schema.name()) {
+            return Err(DbError::DuplicateRelation(schema.name().to_string()));
         }
-        self.invalidate_snapshot();
+        relations.insert(
+            schema.name().to_string(),
+            IndexedRelation::new(Arc::clone(&schema), Arc::clone(&self.clock)),
+        );
         Ok(schema)
     }
 
@@ -305,15 +293,11 @@ impl Database {
         valid: impl Into<ValidTime>,
         attrs: Vec<(AttrName, Value)>,
     ) -> Result<ElementId, DbError> {
-        let id = {
-            let mut relations = self.relations.write();
-            let rel = relations
-                .get_mut(relation)
-                .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
-            rel.insert(object, valid, attrs)?
-        };
-        self.invalidate_snapshot();
-        Ok(id)
+        let mut relations = self.relations.write();
+        let rel = relations
+            .get_mut(relation)
+            .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
+        Ok(rel.insert(object, valid, attrs)?)
     }
 
     /// Logically deletes an element.
@@ -323,15 +307,11 @@ impl Database {
     /// Returns [`DbError::UnknownRelation`], [`CoreError::NoSuchElement`],
     /// or a deletion-referenced constraint violation.
     pub fn delete(&self, relation: &str, id: ElementId) -> Result<Timestamp, DbError> {
-        let tt = {
-            let mut relations = self.relations.write();
-            let rel = relations
-                .get_mut(relation)
-                .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
-            rel.delete(id)?
-        };
-        self.invalidate_snapshot();
-        Ok(tt)
+        let mut relations = self.relations.write();
+        let rel = relations
+            .get_mut(relation)
+            .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
+        Ok(rel.delete(id)?)
     }
 
     /// Modifies an element (logical delete + insert under one transaction,
@@ -347,15 +327,11 @@ impl Database {
         valid: impl Into<ValidTime>,
         attrs: Vec<(AttrName, Value)>,
     ) -> Result<ElementId, DbError> {
-        let new_id = {
-            let mut relations = self.relations.write();
-            let rel = relations
-                .get_mut(relation)
-                .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
-            rel.modify(id, valid, attrs)?
-        };
-        self.invalidate_snapshot();
-        Ok(new_id)
+        let mut relations = self.relations.write();
+        let rel = relations
+            .get_mut(relation)
+            .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
+        Ok(rel.modify(id, valid, attrs)?)
     }
 
     /// Applies an insertion batch through the sharded ingest pipeline
@@ -372,15 +348,11 @@ impl Database {
         relation: &str,
         records: Vec<BatchRecord>,
     ) -> Result<BatchReport, DbError> {
-        let report = {
-            let mut relations = self.relations.write();
-            let rel = relations
-                .get_mut(relation)
-                .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
-            rel.apply_batch(records)
-        };
-        self.invalidate_snapshot();
-        Ok(report)
+        let mut relations = self.relations.write();
+        let rel = relations
+            .get_mut(relation)
+            .ok_or_else(|| DbError::UnknownRelation(relation.to_string()))?;
+        Ok(rel.apply_batch(records))
     }
 
     /// Sets a relation's ingest shard count (used by [`Self::apply_batch`]).
@@ -531,23 +503,11 @@ impl Database {
             .get_mut(downstream)
             .expect("checked above");
         let mut out = Vec::with_capacity(staged.len());
-        let mut failure = None;
         for (object, valid, attrs) in staged {
-            match down.insert(object, valid, attrs) {
-                Ok(id) => out.push(id),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
+            // A failure leaves the elements propagated before it stored.
+            out.push(down.insert(object, valid, attrs)?);
         }
-        drop(relations);
-        // Even a partially applied propagation wrote elements.
-        self.invalidate_snapshot();
-        match failure {
-            Some(e) => Err(e.into()),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 
     /// Runs a closure with read access to a relation (for custom plans or

@@ -2,8 +2,8 @@
 //! chunk.
 //!
 //! Storage keeps elements in fixed-size chunks in transaction-time order.
-//! Next to its elements each chunk keeps small runs of keys, each key
-//! tagged with its element's offset in the chunk:
+//! When a chunk seals, it gets small sorted runs of keys built from its
+//! elements, each key tagged with its element's offset in the chunk:
 //!
 //! * an **object run** for every relation — the per-surrogate partitions
 //!   of §2, so an object's life-line is a probe per chunk;
@@ -13,11 +13,11 @@
 //!   the chunk's longest length (a probe searches past the begins too
 //!   early to reach it and filters at most one chunk of keys).
 //!
-//! While a chunk is open its keys are appended unsorted and a probe
-//! filters them linearly; when the chunk seals they are sorted once. A run
-//! is never touched by a logical deletion — a deletion is a `tt_d` filter
-//! at the reader's pin — so one run serves every pin, and a copy-on-write
-//! copy of the chunk shares it.
+//! The open chunk keeps no run: a reader filters its elements by the
+//! probe's key ([`RunProbe::selects`]), the same test a run answers. A
+//! run is never touched by a logical deletion — a deletion is a `tt_d`
+//! filter at the reader's pin — so one run serves every pin, and a
+//! copy-on-write copy of the chunk shares it.
 
 use tempora_core::{Element, ObjectId, ValidTime};
 use tempora_time::Timestamp;
@@ -39,20 +39,32 @@ pub enum RunProbe {
     },
 }
 
-/// The key runs of one chunk. The default keeps the object run alone.
-#[derive(Debug, Clone, Default)]
+impl RunProbe {
+    /// Whether the probe selects `element`'s key: exactly the elements a
+    /// run returns, tested one element at a time.
+    #[must_use]
+    pub fn selects(self, element: &Element) -> bool {
+        match self {
+            RunProbe::Object(object) => element.object == object,
+            RunProbe::Valid { from, to } => match element.valid {
+                ValidTime::Event(t) => from <= t && t < to,
+                ValidTime::Interval(iv) => iv.begin() < to && iv.end() > from,
+            },
+        }
+    }
+}
+
+/// The sorted key runs of one sealed chunk.
+#[derive(Debug)]
 pub struct ChunkRuns {
     objects: KeyRun<u64>,
     valid: ValidRun,
-    /// Whether the keys are sorted (the chunk is full) or still in
-    /// arrival order.
-    sealed: bool,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 enum ValidRun {
-    /// Valid-time reads need no run (ordered and tt-proxy relations).
-    #[default]
+    /// Valid-time reads need no run (ordered and tt-proxy relations), or
+    /// a point run met an interval stamp it cannot key.
     None,
     /// Event valid times.
     Point(KeyRun<i64>),
@@ -61,142 +73,114 @@ enum ValidRun {
 }
 
 impl ChunkRuns {
-    /// Empty runs for a relation whose valid-time access is `choice`.
+    /// Builds the runs `choice` asks for over a sealed chunk's `elements`;
+    /// a key's offset is its element's position in the iteration.
     #[must_use]
-    pub fn new(choice: IndexChoice) -> Self {
+    pub fn build<'a>(choice: IndexChoice, elements: impl IntoIterator<Item = &'a Element>) -> Self {
+        let mut objects = Vec::new();
+        let mut points = Vec::new();
+        let mut intervals = Vec::new();
+        let mut keys_points = choice == IndexChoice::PointIndex;
+        for (offset, element) in elements.into_iter().enumerate() {
+            let offset = u32::try_from(offset).expect("chunk offsets fit u32");
+            objects.push((element.object.raw(), offset));
+            match (choice, element.valid) {
+                (IndexChoice::PointIndex, ValidTime::Event(t)) => points.push((t.micros(), offset)),
+                // A point run cannot key an interval stamp: the chunk gives
+                // the run up, and valid-time probes filter it by key.
+                (IndexChoice::PointIndex, ValidTime::Interval(_)) => keys_points = false,
+                (IndexChoice::IntervalTree, ValidTime::Event(t)) => {
+                    intervals.push((t.micros(), t.micros() + 1, offset));
+                }
+                (IndexChoice::IntervalTree, ValidTime::Interval(iv)) => {
+                    intervals.push((iv.begin().micros(), iv.end().micros(), offset));
+                }
+                _ => {}
+            }
+        }
         let valid = match choice {
-            IndexChoice::PointIndex => ValidRun::Point(KeyRun::default()),
-            IndexChoice::IntervalTree => ValidRun::Interval(IntervalRun::default()),
-            IndexChoice::AppendOrder | IndexChoice::TtProxy(_) => ValidRun::None,
+            IndexChoice::PointIndex if keys_points => ValidRun::Point(KeyRun::sorted(points)),
+            IndexChoice::IntervalTree => ValidRun::Interval(IntervalRun::sorted(intervals)),
+            _ => ValidRun::None,
         };
         ChunkRuns {
+            objects: KeyRun::sorted(objects),
             valid,
-            ..ChunkRuns::default()
         }
-    }
-
-    /// Keys the element at the next offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runs are already sealed.
-    pub fn push(&mut self, element: &Element) {
-        assert!(!self.sealed, "key pushed into a sealed run");
-        self.objects.push(element.object.raw());
-        match (&mut self.valid, element.valid) {
-            (ValidRun::Point(run), ValidTime::Event(t)) => run.push(t.micros()),
-            (ValidRun::Interval(run), ValidTime::Event(t)) => run.push(t.micros(), t.micros() + 1),
-            (ValidRun::Interval(run), ValidTime::Interval(iv)) => {
-                run.push(iv.begin().micros(), iv.end().micros());
-            }
-            // A point run cannot key an interval stamp: the chunk gives the
-            // run up, and valid-time probes scan it.
-            (ValidRun::Point(_), ValidTime::Interval(_)) => self.valid = ValidRun::None,
-            (ValidRun::None, _) => {}
-        }
-    }
-
-    /// Sorts the keys once the chunk is full; later probes binary search.
-    pub fn seal(&mut self) {
-        self.objects.seal();
-        match &mut self.valid {
-            ValidRun::Point(run) => run.seal(),
-            ValidRun::Interval(run) => run.seal(),
-            ValidRun::None => {}
-        }
-        self.sealed = true;
     }
 
     /// Appends to `hits` the offsets, ascending, of exactly the elements
-    /// whose key the probe selects; the reader still filters them at its
-    /// pin. Returns `false`, adding nothing, when the chunk keeps no run
-    /// for the probe.
+    /// the probe selects; the reader still filters them at its pin.
+    /// Returns `false`, adding nothing, when the chunk keeps no run for
+    /// the probe.
     pub fn probe(&self, probe: RunProbe, hits: &mut Vec<usize>) -> bool {
         let start = hits.len();
         match (probe, &self.valid) {
-            (RunProbe::Object(object), _) => {
-                self.objects.find(self.sealed, object.raw(), object.raw(), hits);
-            }
+            (RunProbe::Object(object), _) => self.objects.find(object.raw(), object.raw(), hits),
             (RunProbe::Valid { from, to }, ValidRun::Point(run)) => {
-                run.find(self.sealed, from.micros(), to.micros() - 1, hits);
+                run.find(from.micros(), to.micros() - 1, hits);
             }
             (RunProbe::Valid { from, to }, ValidRun::Interval(run)) => {
-                run.overlapping(self.sealed, from.micros(), to.micros(), hits);
+                run.overlapping(from.micros(), to.micros(), hits);
             }
             (RunProbe::Valid { .. }, ValidRun::None) => return false,
         }
-        if self.sealed {
-            hits[start..].sort_unstable();
-        }
+        hits[start..].sort_unstable();
         true
     }
 }
 
-/// Keys tagged with their element's offset, sorted by `(key, offset)`
-/// once sealed.
-#[derive(Debug, Clone, Default)]
+/// Keys tagged with their element's offset, sorted by `(key, offset)`.
+#[derive(Debug)]
 struct KeyRun<K>(Vec<(K, u32)>);
 
 impl<K: Ord + Copy> KeyRun<K> {
-    fn push(&mut self, key: K) {
-        let offset = u32::try_from(self.0.len()).expect("chunk offsets fit u32");
-        self.0.push((key, offset));
-    }
-
-    fn seal(&mut self) {
-        self.0.sort_unstable();
+    fn sorted(mut keys: Vec<(K, u32)>) -> Self {
+        keys.sort_unstable();
+        KeyRun(keys)
     }
 
     /// Offsets of the keys in `lo..=hi`.
-    fn find(&self, sealed: bool, lo: K, hi: K, hits: &mut Vec<usize>) {
-        if sealed {
-            let start = self.0.partition_point(|&(k, _)| k < lo);
-            // Most chunks hold no match: skip the second search.
-            if self.0.get(start).is_some_and(|&(k, _)| k <= hi) {
-                let len = self.0[start..].partition_point(|&(k, _)| k <= hi);
-                hits.extend(self.0[start..start + len].iter().map(|&(_, o)| o as usize));
-            }
-        } else {
-            let matching = self.0.iter().filter(|&&(k, _)| lo <= k && k <= hi);
-            hits.extend(matching.map(|&(_, o)| o as usize));
+    fn find(&self, lo: K, hi: K, hits: &mut Vec<usize>) {
+        let start = self.0.partition_point(|&(k, _)| k < lo);
+        // Most chunks hold no match: skip the second search.
+        if self.0.get(start).is_some_and(|&(k, _)| k <= hi) {
+            let len = self.0[start..].partition_point(|&(k, _)| k <= hi);
+            hits.extend(self.0[start..start + len].iter().map(|&(_, o)| o as usize));
         }
     }
 }
 
 /// Half-open intervals `[begin, end)` in microseconds, tagged with their
-/// offset. Sealed, they are sorted by begin and keep the longest length
-/// among them: no interval that begins at or before `from − max_len` can
-/// reach past `from`, so an overlap probe binary searches past those
-/// begins and filters the rest, up to the first begin at or after `to`.
-#[derive(Debug, Clone, Default)]
+/// offset, sorted by begin, with the longest length among them: no
+/// interval that begins at or before `from − max_len` can reach past
+/// `from`, so an overlap probe binary searches past those begins and
+/// filters the rest, up to the first begin at or after `to`.
+#[derive(Debug)]
 struct IntervalRun {
     entries: Vec<(i64, i64, u32)>,
     max_len: i64,
 }
 
 impl IntervalRun {
-    fn push(&mut self, begin: i64, end: i64) {
-        let offset = u32::try_from(self.entries.len()).expect("chunk offsets fit u32");
-        self.entries.push((begin, end, offset));
-        self.max_len = self.max_len.max(end.saturating_sub(begin));
-    }
-
-    fn seal(&mut self) {
-        self.entries.sort_unstable();
+    fn sorted(mut entries: Vec<(i64, i64, u32)>) -> Self {
+        entries.sort_unstable();
+        let max_len = entries
+            .iter()
+            .map(|&(b, e, _)| e.saturating_sub(b))
+            .max()
+            .unwrap_or(0);
+        IntervalRun { entries, max_len }
     }
 
     /// Offsets of the intervals with `begin < to && end > from`.
-    fn overlapping(&self, sealed: bool, from: i64, to: i64, hits: &mut Vec<usize>) {
-        let meets = |&&(b, e, _): &&(i64, i64, u32)| b < to && e > from;
-        if !sealed {
-            hits.extend(self.entries.iter().filter(meets).map(|e| e.2 as usize));
-            return;
-        }
+    fn overlapping(&self, from: i64, to: i64, hits: &mut Vec<usize>) {
         let start = from
             .checked_sub(self.max_len)
             .map_or(0, |floor| self.entries.partition_point(|e| e.0 <= floor));
         let candidates = self.entries[start..].iter().take_while(|e| e.0 < to);
-        hits.extend(candidates.filter(meets).map(|e| e.2 as usize));
+        let overlapping = candidates.filter(|&&(b, e, _)| b < to && e > from);
+        hits.extend(overlapping.map(|e| e.2 as usize));
     }
 }
 
@@ -251,20 +235,17 @@ mod tests {
         (0..elements.len()).filter(|&i| meets(&elements[i])).collect()
     }
 
-    /// Builds runs over `elements`, checking every probe against brute
-    /// force both open (unsorted) and sealed.
+    /// Checks every probe against brute force on `elements` both open
+    /// (the key filter a reader applies to the open tail) and sealed (the
+    /// runs built over them).
     fn check_open_and_sealed(choice: IndexChoice, elements: &[Element], probes: &[RunProbe]) {
-        let mut runs = ChunkRuns::new(choice);
-        for e in elements {
-            runs.push(e);
-        }
-        for sealed in [false, true] {
-            if sealed {
-                runs.seal();
-            }
-            for &p in probes {
-                assert_eq!(probe(&runs, p), brute(elements, p), "{p:?}, sealed {sealed}");
-            }
+        let runs = ChunkRuns::build(choice, elements);
+        for &p in probes {
+            let open: Vec<usize> = (0..elements.len())
+                .filter(|&i| p.selects(&elements[i]))
+                .collect();
+            assert_eq!(open, brute(elements, p), "{p:?}, open");
+            assert_eq!(probe(&runs, p), brute(elements, p), "{p:?}, sealed");
         }
     }
 
@@ -318,8 +299,7 @@ mod tests {
     fn runs_follow_the_index_choice() {
         let e = event(0, 3, 42);
         for choice in [IndexChoice::AppendOrder, IndexChoice::PointIndex, IndexChoice::IntervalTree] {
-            let mut runs = ChunkRuns::new(choice);
-            runs.push(&e);
+            let runs = ChunkRuns::build(choice, [&e]);
             let mut hits = Vec::new();
             assert!(runs.probe(RunProbe::Object(ObjectId::new(3)), &mut hits));
             assert_eq!(hits, vec![0]);
@@ -327,9 +307,8 @@ mod tests {
             assert_eq!(has_valid, choice != IndexChoice::AppendOrder, "{choice:?}");
         }
         // A point run cannot key an interval: valid-time probes fall back
-        // to a scan, object probes still answer.
-        let mut runs = ChunkRuns::new(IndexChoice::PointIndex);
-        runs.push(&interval(0, 1, 5));
+        // to the key filter, object probes still answer.
+        let runs = ChunkRuns::build(IndexChoice::PointIndex, [&interval(0, 1, 5)]);
         assert!(!runs.probe(valid(1, 2), &mut Vec::new()));
         assert_eq!(probe(&runs, RunProbe::Object(ObjectId::new(0))), vec![0]);
     }

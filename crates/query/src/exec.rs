@@ -271,8 +271,8 @@ pub(crate) struct View<'a> {
 
 impl View<'_> {
     /// Executes `plan` for `query`. Index probes and object scans probe
-    /// each visible chunk's key runs; a chunk without the run (a
-    /// snapshot's copy of the open tail) is scanned. Every other plan is
+    /// each visible sealed chunk's key runs and filter a chunk without
+    /// the run (the open tail) by the probe's key. Every other plan is
     /// one run of positions in the tt-ordered view.
     pub(crate) fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
         let strategy = plan.strategy_name();

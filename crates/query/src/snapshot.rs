@@ -14,9 +14,9 @@
 //! predicate: a live read is the same loop pinned at the newest state
 //! (snapshot reducibility), so the two cannot drift apart. Point probes,
 //! interval stabs and object scans probe the key runs the view's chunks
-//! share with the live store — sorted once per sealed chunk, never touched
-//! by a delete — and scan only the view's copy of the open tail, which is
-//! captured without its runs. Order-exploiting plans (tt-prefix,
+//! share with the live store — built once when a chunk seals, never
+//! touched by a delete — and filter the open tail by the probe's key.
+//! Order-exploiting plans (tt-prefix,
 //! tt-window, append-order search) keep their binary searches — those
 //! need only the base order, which the view preserves, in either store
 //! mode. The executor takes no locks and touches no shared mutable state:

@@ -29,13 +29,13 @@
 //!   by object surrogate and constraint-checked in parallel when the
 //!   declared specializations are partition-local (§3.2's per-surrogate
 //!   basis), via [`TemporalRelation::apply_batch`];
-//! * [`chunks`] — the chunked copy-on-write element storage the store sits
-//!   on, each chunk with its key runs (object, and the valid-time run the
-//!   schema's index choice asks for): because transaction time is
-//!   append-only, a reader pinned at tick `t` sees an immutable prefix, and
-//!   [`TemporalRelation::snapshot_elements`] hands that prefix out as a
-//!   cheap [`ElementChunks`] view that never blocks (or is blocked by)
-//!   writers.
+//! * [`chunks`] — the chunked write-once element storage the store sits
+//!   on, each sealed chunk with the key runs built when it sealed (object,
+//!   and the valid-time run the schema's index choice asks for): because
+//!   transaction time is append-only, a reader pinned at tick `t` sees an
+//!   immutable prefix, and [`TemporalRelation::snapshot_elements`] hands
+//!   that prefix out as an [`ElementChunks`] view — one pointer plus a
+//!   length — that never blocks (or is blocked by) writers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

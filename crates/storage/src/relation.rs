@@ -249,12 +249,15 @@ impl TemporalRelation {
     }
 
     /// Writes an already-admitted element to the store and backlog.
+    /// Only a kept backlog costs a clone of the element.
     fn store_admitted(&mut self, element: Element) -> Result<(), CoreError> {
-        self.store.insert(element.clone())?;
-        if let Some(log) = &mut self.backlog {
-            log.log_insert(element)?;
+        match &mut self.backlog {
+            Some(log) => {
+                self.store.insert(element.clone())?;
+                log.log_insert(element)
+            }
+            None => self.store.insert(element),
         }
-        Ok(())
     }
 
     /// Counts a constraint rejection, attributing it to the shard the
@@ -605,12 +608,19 @@ impl TemporalRelation {
 
     /// An immutable chunk view of every element ever stored, in
     /// transaction-time order — the raw material of a pinned snapshot.
-    /// Sealed chunks are shared by pointer; only the open tail chunk is
-    /// copied, so the cost is independent of relation size (see
-    /// [`crate::chunks`]).
+    /// It shares the chunk list by one pointer and copies nothing, so the
+    /// cost is independent of relation size (see [`crate::chunks`]).
     #[must_use]
     pub fn snapshot_elements(&self) -> ElementChunks {
         self.store.snapshot()
+    }
+
+    /// The newest transaction stamp any write has left in the relation
+    /// (see [`TupleStore::newest_stamp`]), or `None` if it was never
+    /// written.
+    #[must_use]
+    pub fn newest_stamp(&self) -> Option<Timestamp> {
+        self.store.newest_stamp()
     }
 
     /// Number of elements ever stored.

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use tempora_time::Timestamp;
 
 use tempora_core::{CoreError, Element, ElementId};
-use tempora_index::{ChunkRuns, IndexChoice};
+use tempora_index::IndexChoice;
 
 use crate::chunks::{ChunkedElements, ElementChunks};
 
@@ -36,10 +36,10 @@ use crate::chunks::{ChunkedElements, ElementChunks};
 /// are stored in strictly increasing `tt_b` order — and, in the ordered
 /// mode, non-decreasing valid begin order; each element surrogate appears
 /// exactly once; a logically deleted element has `tt_d > tt_b`.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct TupleStore {
     /// All elements ever stored, in `tt_b` order (append-only; deletion is
-    /// logical — it sets `tt_end`). Copy-on-write chunks, with their key
+    /// logical — it sets `tt_end`). Write-once chunks, with their key
     /// runs, so snapshots share storage with the live store (see
     /// [`crate::chunks`]).
     elements: ChunkedElements,
@@ -48,6 +48,8 @@ pub struct TupleStore {
     by_id: HashMap<ElementId, usize>,
     /// Whether arrival order is also valid-begin order (the ordered mode).
     vt_ordered: bool,
+    /// The newest deletion stamp ever applied (see [`Self::newest_stamp`]).
+    last_delete: Option<Timestamp>,
     /// Elements examined while locating delete targets (cumulative).
     /// With the `by_id` map each delete examines exactly one element; a
     /// regression to scanning shows up here as O(position) growth.
@@ -68,7 +70,7 @@ impl TupleStore {
     #[must_use]
     pub fn for_index(choice: IndexChoice) -> Self {
         TupleStore {
-            elements: ChunkedElements::with_runs(ChunkRuns::new(choice)),
+            elements: ChunkedElements::with_index(choice),
             vt_ordered: choice == IndexChoice::AppendOrder,
             ..TupleStore::default()
         }
@@ -177,6 +179,7 @@ impl TupleStore {
             });
         }
         element.tt_end = Some(tt_d);
+        self.last_delete = self.last_delete.max(Some(tt_d));
         Ok(())
     }
 
@@ -254,11 +257,20 @@ impl TupleStore {
     }
 
     /// An immutable chunk view of the store's current contents (see
-    /// [`ChunkedElements::snapshot`]): sealed chunks shared by pointer,
-    /// the open tail copied.
+    /// [`ChunkedElements::snapshot`]): the chunk list shared by pointer,
+    /// nothing copied.
     #[must_use]
     pub fn snapshot(&self) -> ElementChunks {
         self.elements.snapshot()
+    }
+
+    /// The newest transaction stamp any write has left here — an
+    /// insertion's `tt_b` or a deletion's `tt_d` — or `None` if the store
+    /// was never written. Reclaiming keeps it: a reclaimed element was
+    /// stamped no later than its deletion.
+    #[must_use]
+    pub fn newest_stamp(&self) -> Option<Timestamp> {
+        self.elements.last().map(|e| e.tt_begin).max(self.last_delete)
     }
 
     /// Number of elements current now.

@@ -23,10 +23,11 @@
 //! ## Read path
 //!
 //! `SELECT` statements never touch the database's locks while executing:
-//! the server grabs the memoized
-//! [`latest_snapshot`](tempora_design::Database::latest_snapshot) — an
-//! `Arc`-shared chunk view pinned at the current transaction tick — and
-//! runs the query on it. Writers proceed concurrently; the `OK` line
+//! the server captures a fresh
+//! [`latest_snapshot`](tempora_design::Database::latest_snapshot) — per
+//! relation one `Arc` clone of the storage chunk list plus its length,
+//! pinned at the newest applied transaction stamp — and runs the query on
+//! it. Writers proceed concurrently; the `OK` line
 //! carries the pin so a client (or a differential test) can reconstruct
 //! the exact view later with
 //! [`snapshot_at`](tempora_design::Database::snapshot_at).
@@ -114,7 +115,9 @@ pub fn read_frame(stream: &mut impl Read, max_bytes: usize) -> io::Result<Option
     Ok(Some(payload))
 }
 
-/// Writes one `[u32 BE length][payload]` frame and flushes it.
+/// Writes one `[u32 BE length][payload]` frame with a single `write_all`
+/// and flushes it: on a `TCP_NODELAY` socket a separate prefix write would
+/// go out as a segment of its own.
 ///
 /// # Errors
 ///
@@ -132,8 +135,10 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -179,8 +184,8 @@ pub fn handle_request(db: &DurableDatabase, request: &str) -> String {
     }
     match first.as_str() {
         "SELECT" => {
-            // Lock-free read path: the memoized snapshot pinned at the
-            // current tick. Ingest proceeds concurrently.
+            // Lock-free read path: a fresh capture pinned at the newest
+            // applied stamp. Ingest proceeds concurrently.
             let snap = db.db().latest_snapshot();
             match snap.query(request) {
                 Ok(result) => render_query_response(snap.pin(), &result),
@@ -571,6 +576,59 @@ mod tests {
         db.execute_ddl("CREATE TEMPORAL RELATION plant (sensor KEY, temperature VARYING) AS EVENT WITH RETROACTIVE")
             .expect("ddl");
         (Arc::new(db), clock)
+    }
+
+    /// A writer that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that hands out one byte per call.
+    struct ByteAtATime(io::Cursor<Vec<u8>>);
+
+    impl Read for ByteAtATime {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let end = buf.len().min(1);
+            self.0.read(&mut buf[..end])
+        }
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        let mut out = CountingWriter::default();
+        write_frame(&mut out, b"one segment").unwrap();
+        assert_eq!(out.writes, 1);
+        write_frame(&mut out, b"").unwrap();
+        assert_eq!(out.writes, 2);
+        assert_eq!(&out.bytes[..4], &11_u32.to_be_bytes());
+    }
+
+    #[test]
+    fn frames_reassemble_from_one_byte_reads() {
+        let mut buf: Vec<u8> = Vec::new();
+        write_frame(&mut buf, b"split prefix").unwrap();
+        write_frame(&mut buf, b"").unwrap();
+        let mut reader = ByteAtATime(io::Cursor::new(buf));
+        assert_eq!(
+            read_frame(&mut reader, MAX_FRAME_BYTES).unwrap().unwrap(),
+            b"split prefix"
+        );
+        assert_eq!(read_frame(&mut reader, MAX_FRAME_BYTES).unwrap().unwrap(), b"");
+        assert!(read_frame(&mut reader, MAX_FRAME_BYTES).unwrap().is_none());
     }
 
     #[test]
