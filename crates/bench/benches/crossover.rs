@@ -1,12 +1,11 @@
-//! The crossover experiment: where does the band-driven tt-window scan
-//! stop paying off against a maintained point index?
+//! The band sweep: how the band-driven tt-window scan compares with a
+//! plain point probe as the declared band widens.
 //!
-//! The tt-proxy examines `window × density` elements per probe while the
-//! point index examines `O(log n + answer)` — but the index costs
-//! maintenance on every insert. Sweeping the declared band width exposes
-//! the crossover that `select_index_with_profile` encodes as a threshold.
-//! The bench measures a combined workload (load + Q probes) per strategy
-//! and also prints the examined-elements sweep.
+//! Both probe the same per-chunk point runs; the tt-window scan visits
+//! only the chunks of the transaction-time window the band implies, a
+//! subset of the chunks a point probe visits. So the tt-proxy never loses,
+//! and a wide band only shrinks its lead. The bench times both strategies
+//! and prints examined elements per query side by side at each band.
 
 use std::sync::Arc;
 
@@ -48,6 +47,15 @@ fn build(half_band: i64, declare: bool, seed: u64) -> (IndexedRelation, Vec<Time
     (rel, probes)
 }
 
+/// Mean elements examined per timeslice probe.
+fn examined_per_query(rel: &IndexedRelation, probes: &[Timestamp]) -> f64 {
+    let examined: usize = probes
+        .iter()
+        .map(|&vt| rel.execute(Query::Timeslice { vt }).stats.examined)
+        .sum();
+    examined as f64 / probes.len() as f64
+}
+
 fn bench_crossover(c: &mut Criterion) {
     let mut group = c.benchmark_group("crossover_query_only");
     group.sample_size(15);
@@ -69,48 +77,17 @@ fn bench_crossover(c: &mut Criterion) {
     }
     group.finish();
 
-    // Combined load + query workload: where index maintenance matters.
-    let mut group = c.benchmark_group("crossover_load_plus_query");
-    group.sample_size(10);
-    for half_band in [3_600_i64, 500_000] {
-        for (label, declare) in [("tt-window", true), ("point-index", false)] {
-            group.bench_function(BenchmarkId::new(label, half_band), |b| {
-                b.iter(|| {
-                    let (rel, probes) = build(half_band, declare, 7);
-                    let mut total = 0usize;
-                    for &vt in &probes {
-                        total += rel.execute(Query::Timeslice { vt }).stats.returned;
-                    }
-                    black_box(total)
-                });
-            });
-        }
-    }
-    group.finish();
-
     // Examined-elements sweep, printed once for the record.
-    println!("\n=== crossover sweep (n = {N}, tt span = {} s) ===", N as i64 * TT_STEP);
-    println!("{:>10} {:>14} {:>14} {:>20}", "half-band", "window-frac", "examined/query", "profile-selector");
+    println!("\n=== band sweep (n = {N}, tt span = {} s) ===", N as i64 * TT_STEP);
+    println!("{:>10} {:>20} {:>22}", "half-band", "tt-window examined", "point-probe examined");
     for half_band in [60_i64, 3_600, 86_400, 500_000, 2_000_000] {
-        let (rel, probes) = build(half_band, true, 7);
-        let examined: usize = probes
-            .iter()
-            .map(|&vt| rel.execute(Query::Timeslice { vt }).stats.examined)
-            .sum();
-        let band = rel.relation().schema().insertion_band();
-        let span = TimeDelta::from_secs(N as i64 * TT_STEP);
-        let frac = tempora::index::tt_proxy::window_fraction(band, span);
-        let choice = tempora::index::select_index_with_profile(rel.relation().schema(), span, 0.05);
+        let (bounded, probes) = build(half_band, true, 7);
+        let (general, _) = build(half_band, false, 7);
         println!(
-            "{:>9}s {:>14.5} {:>14.1} {:>20}",
+            "{:>9}s {:>20.1} {:>22.1}",
             half_band,
-            frac,
-            examined as f64 / probes.len() as f64,
-            match choice {
-                IndexChoice::TtProxy(_) => "tt-proxy",
-                IndexChoice::PointIndex => "point-index",
-                _ => "other",
-            }
+            examined_per_query(&bounded, &probes),
+            examined_per_query(&general, &probes),
         );
     }
     c.bench_function("crossover_table_emitted", |b| b.iter(|| black_box(1)));

@@ -21,9 +21,10 @@ fn bench_insert(c: &mut Criterion) {
         });
     });
 
-    // Bounded relation: tuple store, *no* valid-time index (tt proxy).
+    // Bounded relation: tuple store + the point runs its tt-window
+    // probes.
     let bounded = workload::accounting(n, TimeDelta::from_hours(2), 3);
-    group.bench_function(BenchmarkId::from_parameter("bounded_tuple_no_index"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("bounded_tuple_point_index"), |b| {
         b.iter(|| {
             black_box(tempora::load_event_workload(&bounded).expect("conforms").relation().len())
         });

@@ -6,7 +6,8 @@
 //! Series reported per size n:
 //!   * `full-scan`      — the general baseline (no specialization used);
 //!   * `point-probe`    — general relation with per-chunk point runs;
-//!   * `tt-window`      — strongly bounded relation, no valid-time index;
+//!   * `tt-window`      — strongly bounded relation, probing the point
+//!     runs of the band's transaction-time window only;
 //!   * `append-order`   — globally sequential relation, no index at all;
 //!   * `rollback`       — transaction-prefix scan (always available).
 

@@ -61,7 +61,7 @@ pub fn schema_report(schema: &RelationSchema) -> String {
         match select_index(schema) {
             IndexChoice::AppendOrder => "binary search on the base order (no index)".to_string(),
             IndexChoice::TtProxy(b) =>
-                format!("tt-proxy window probe via {b} (no valid-time index)"),
+                format!("tt-proxy window probe via {b} over the window's per-chunk runs"),
             IndexChoice::PointIndex => "sorted point run per storage chunk".to_string(),
             IndexChoice::IntervalTree => "begin-sorted interval run per storage chunk".to_string(),
         }

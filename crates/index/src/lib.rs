@@ -6,15 +6,16 @@
 //! techniques:
 //!
 //! * [`ChunkRuns`] — the per-chunk key runs storage keeps next to its
-//!   elements: an object run for every relation, and where the selector
-//!   asks for a dedicated valid-time index, a sorted point run (event
+//!   elements: an object run for every relation, and unless the append
+//!   order already serves valid time, a sorted point run (event
 //!   relations) or a begin-sorted interval run with the chunk's longest
 //!   length (interval relations). Runs are built once when a chunk seals
 //!   and never touched by a delete, so one index serves every pinned read;
 //! * [`tt_proxy`] — *the specialization payoff*: when a relation's declared
 //!   offset band bounds `vt − tt`, a valid-time predicate converts into a
-//!   transaction-time range probe on the (always-ordered) `tt` dimension
-//!   plus a residual filter — no valid-time index needed at all;
+//!   transaction-time range on the (always-ordered) `tt` dimension, so a
+//!   probe visits only the chunks of that window and asks each chunk's
+//!   valid-time run for its rows;
 //! * [`IndexChoice`]/[`select_index`] — the selector that picks a strategy
 //!   from a schema's declared specializations.
 
@@ -26,4 +27,4 @@ mod selector;
 pub mod tt_proxy;
 
 pub use runs::{ChunkRuns, RunProbe};
-pub use selector::{select_index, select_index_with_profile, IndexChoice};
+pub use selector::{select_index, IndexChoice};

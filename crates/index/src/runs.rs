@@ -7,11 +7,14 @@
 //!
 //! * an **object run** for every relation — the per-surrogate partitions
 //!   of §2, so an object's life-line is a probe per chunk;
-//! * a **valid-time run** only where [`select_index`](crate::select_index)
-//!   picks a dedicated index: event times for [`IndexChoice::PointIndex`],
-//!   and for [`IndexChoice::IntervalTree`] intervals sorted by begin with
-//!   the chunk's longest length (a probe searches past the begins too
-//!   early to reach it and filters at most one chunk of keys).
+//! * a **valid-time run** wherever [`select_index`](crate::select_index)
+//!   does not pick the append order: event times for
+//!   [`IndexChoice::PointIndex`], and for [`IndexChoice::IntervalTree`]
+//!   intervals sorted by begin with the chunk's longest length (a probe
+//!   searches past the begins too early to reach it and filters at most
+//!   one chunk of keys). An [`IndexChoice::TtProxy`] relation keeps the
+//!   run its stamping calls for: its offset band picks the chunks a
+//!   valid-time probe visits, and each chunk's run finds the rows.
 //!
 //! The open chunk keeps no run: a reader filters its elements by the
 //! probe's key ([`RunProbe::selects`]), the same test a run answers. A
@@ -63,8 +66,8 @@ pub struct ChunkRuns {
 
 #[derive(Debug)]
 enum ValidRun {
-    /// Valid-time reads need no run (ordered and tt-proxy relations), or
-    /// a point run met an interval stamp it cannot key.
+    /// Valid-time reads need no run (ordered relations), or a point run
+    /// met an interval stamp it cannot key.
     None,
     /// Event valid times.
     Point(KeyRun<i64>),
@@ -77,11 +80,20 @@ impl ChunkRuns {
     /// a key's offset is its element's position in the iteration.
     #[must_use]
     pub fn build<'a>(choice: IndexChoice, elements: impl IntoIterator<Item = &'a Element>) -> Self {
+        let mut elements = elements.into_iter().peekable();
+        // A tt-proxy relation keys the run its stamping calls for; all of
+        // a relation's stamps are of one kind, so the first shows which
+        // (an interval run keys either kind).
+        let choice = match (choice, elements.peek().map(|e| e.valid)) {
+            (IndexChoice::TtProxy(_), Some(ValidTime::Event(_))) => IndexChoice::PointIndex,
+            (IndexChoice::TtProxy(_), _) => IndexChoice::IntervalTree,
+            (choice, _) => choice,
+        };
         let mut objects = Vec::new();
         let mut points = Vec::new();
         let mut intervals = Vec::new();
         let mut keys_points = choice == IndexChoice::PointIndex;
-        for (offset, element) in elements.into_iter().enumerate() {
+        for (offset, element) in elements.enumerate() {
             let offset = u32::try_from(offset).expect("chunk offsets fit u32");
             objects.push((element.object.raw(), offset));
             match (choice, element.valid) {
@@ -188,6 +200,7 @@ impl IntervalRun {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use tempora_core::region::OffsetBand;
     use tempora_core::ElementId;
     use tempora_time::Interval;
 
@@ -262,6 +275,7 @@ mod tests {
         }
         probes.extend((0..55).map(|o| RunProbe::Object(ObjectId::new(o))));
         check_open_and_sealed(IndexChoice::PointIndex, &elements, &probes);
+        check_open_and_sealed(IndexChoice::TtProxy(OffsetBand::ZERO), &elements, &probes);
     }
 
     #[test]
@@ -285,6 +299,7 @@ mod tests {
                 probes.push(valid(from, from + rng.gen_range(-20..200)));
             }
             check_open_and_sealed(IndexChoice::IntervalTree, &elements, &probes);
+            check_open_and_sealed(IndexChoice::TtProxy(OffsetBand::ZERO), &elements, &probes);
         }
     }
 
@@ -298,7 +313,12 @@ mod tests {
     #[test]
     fn runs_follow_the_index_choice() {
         let e = event(0, 3, 42);
-        for choice in [IndexChoice::AppendOrder, IndexChoice::PointIndex, IndexChoice::IntervalTree] {
+        for choice in [
+            IndexChoice::AppendOrder,
+            IndexChoice::PointIndex,
+            IndexChoice::IntervalTree,
+            IndexChoice::TtProxy(OffsetBand::ZERO),
+        ] {
             let runs = ChunkRuns::build(choice, [&e]);
             let mut hits = Vec::new();
             assert!(runs.probe(RunProbe::Object(ObjectId::new(3)), &mut hits));

@@ -8,7 +8,10 @@
 //!    valid-time index at all — the base order serves both dimensions;
 //! 2. a relation whose insertion-referenced specializations yield a
 //!    two-sidedly bounded offset band gets the **tt-proxy** strategy
-//!    (valid-time predicates become transaction-time ranges);
+//!    (valid-time predicates become transaction-time ranges, whose
+//!    chunks are probed through the valid-time run the stamping calls
+//!    for — a window probe visits a subset of the chunks a plain run
+//!    probe visits, so the proxy never loses to it);
 //! 3. otherwise a dedicated valid-time index is required: a sorted point
 //!    run for event relations, a begin-sorted interval run for interval
 //!    relations, kept per storage chunk (see
@@ -23,8 +26,9 @@ pub enum IndexChoice {
     /// The base (append) order serves valid-time queries directly — no
     /// auxiliary structure.
     AppendOrder,
-    /// Probe the transaction-time order through the offset band, then
-    /// filter.
+    /// Translate a valid-time probe through the offset band into a
+    /// transaction-time window, and probe the window's chunks through
+    /// the valid-time run the stamping calls for.
     TtProxy(
         /// The conservative insertion band (both sides finite).
         OffsetBand,
@@ -46,36 +50,6 @@ pub fn select_index(schema: &RelationSchema) -> IndexChoice {
     if band.lo.is_some() && band.hi.is_some() {
         return IndexChoice::TtProxy(band);
     }
-    dedicated_index(schema)
-}
-
-/// Cost-aware variant of [`select_index`]: the tt-proxy window scan
-/// examines roughly `window / tt_span` of the relation per probe, so a
-/// wide band over a short-lived relation can be *worse* than maintaining a
-/// dedicated index. Given the expected transaction-time span of the
-/// relation and the largest acceptable window fraction, this falls back to
-/// the dedicated index when the proxy would scan too much.
-///
-/// `max_window_fraction` of 1.0 reproduces [`select_index`]; typical
-/// deployments choose something like 0.05 (a probe may touch 5 % of the
-/// relation). See the `crossover` bench for the empirical trade-off.
-#[must_use]
-pub fn select_index_with_profile(
-    schema: &RelationSchema,
-    expected_tt_span: tempora_time::TimeDelta,
-    max_window_fraction: f64,
-) -> IndexChoice {
-    match select_index(schema) {
-        IndexChoice::TtProxy(band)
-            if crate::tt_proxy::window_fraction(band, expected_tt_span) > max_window_fraction =>
-        {
-            dedicated_index(schema)
-        }
-        choice => choice,
-    }
-}
-
-fn dedicated_index(schema: &RelationSchema) -> IndexChoice {
     match schema.stamping() {
         Stamping::Event => IndexChoice::PointIndex,
         Stamping::Interval => IndexChoice::IntervalTree,
@@ -164,34 +138,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(select_index(&schema), IndexChoice::TtProxy(_)));
-    }
-
-    #[test]
-    fn profile_aware_selection_falls_back_on_wide_bands() {
-        use tempora_time::TimeDelta;
-        let schema = RelationSchema::builder("r", Stamping::Event)
-            .event_spec(EventSpec::StronglyBounded {
-                past: Bound::secs(3_000),
-                future: Bound::secs(3_000),
-            })
-            .build()
-            .unwrap();
-        // Band ≈ 6000 s. Over a 100 000 s relation the proxy touches 6 %:
-        // acceptable at 10 %, rejected at 5 %.
-        let span = TimeDelta::from_secs(100_000);
-        assert!(matches!(
-            select_index_with_profile(&schema, span, 0.10),
-            IndexChoice::TtProxy(_)
-        ));
-        assert_eq!(
-            select_index_with_profile(&schema, span, 0.05),
-            IndexChoice::PointIndex
-        );
-        // Threshold 1.0 reproduces the plain selector.
-        assert_eq!(
-            select_index_with_profile(&schema, span, 1.0),
-            select_index(&schema)
-        );
     }
 
     #[test]

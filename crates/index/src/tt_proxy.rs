@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Transaction times are always monotone (elements are stored in `tt`
-//! order, §2), so that range is a binary search over the base relation —
-//! no valid-time index required. The residual valid-time filter inside the
-//! range keeps the answer exact.
+//! order, §2), so that range is a binary search over the base relation.
+//! It picks the storage chunks a probe visits, and each chunk's
+//! valid-time run finds the rows (see [`ChunkRuns`](crate::ChunkRuns));
+//! the residual valid-time filter keeps the answer exact.
 //!
 //! The degenerate relation is the limiting case (`lo = hi = 0`): a
 //! valid-time query *is* a transaction-time query ("a degenerate temporal
@@ -73,23 +74,6 @@ pub fn tt_upper_for_vt(band: OffsetBand, vt: Timestamp) -> Option<Timestamp> {
 pub fn tt_lower_for_vt(band: OffsetBand, vt: Timestamp) -> Option<Timestamp> {
     band.hi
         .map(|hi| vt.saturating_sub(TimeDelta::from_micros(hi)))
-}
-
-/// The *selectivity* of the proxy on a relation spanning `tt_span` of
-/// transaction time: the fraction of the relation a window scan touches
-/// (1.0 = no better than a full scan). Used by the planner's cost model.
-#[must_use]
-pub fn window_fraction(band: OffsetBand, tt_span: TimeDelta) -> f64 {
-    match (band.lo, band.hi) {
-        (Some(lo), Some(hi)) if tt_span.is_positive() => {
-            #[allow(clippy::cast_precision_loss)]
-            let window = (hi - lo + 1) as f64;
-            #[allow(clippy::cast_precision_loss)]
-            let span = tt_span.micros() as f64;
-            (window / span).min(1.0)
-        }
-        _ => 1.0,
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +151,5 @@ mod tests {
         assert_eq!(lo, ts(90));
         assert!(hi >= ts(209) && hi <= ts(210));
         assert!(tt_window_for_vt_range(band, ts(200), ts(200)).is_none());
-    }
-
-    #[test]
-    fn window_fraction_cost_model() {
-        let band = band_secs(-30, 30); // 60 s window (+1 µs)
-        let frac = window_fraction(band, TimeDelta::from_secs(6_000));
-        assert!((frac - 0.01).abs() < 1e-6, "{frac}");
-        assert!((window_fraction(OffsetBand::FULL, TimeDelta::from_secs(100)) - 1.0).abs() < f64::EPSILON);
-        // Window larger than span clamps to 1.
-        assert!((window_fraction(band, TimeDelta::from_secs(10)) - 1.0).abs() < f64::EPSILON);
     }
 }

@@ -50,10 +50,11 @@ pub struct QueryResult {
 /// A temporal relation and its plan-driven executor.
 ///
 /// The index strategy comes from [`tempora_index::select_index`]: the
-/// storage chunks keep a valid-time key run only where it picks a
-/// dedicated index, and ordered and bounded relations need no auxiliary
-/// structure at all — that absence is the storage payoff the paper
-/// promises.
+/// storage chunks keep a valid-time key run unless the relation is
+/// ordered, where the append order needs no auxiliary structure at all —
+/// that absence is the storage payoff the paper promises. A bounded
+/// relation's offset band narrows a probe to its transaction-time
+/// window's chunks.
 pub struct IndexedRelation {
     relation: TemporalRelation,
     choice: IndexChoice,
@@ -270,10 +271,12 @@ pub(crate) struct View<'a> {
 }
 
 impl View<'_> {
-    /// Executes `plan` for `query`. Index probes and object scans probe
-    /// each visible sealed chunk's key runs and filter a chunk without
-    /// the run (the open tail) by the probe's key. Every other plan is
-    /// one run of positions in the tt-ordered view.
+    /// Executes `plan` for `query`. Index probes, tt-window scans and
+    /// object scans probe the key runs of each sealed chunk in their
+    /// position range — the visible prefix, or the band's transaction-time
+    /// window — and filter a chunk without the run (the open tail) by the
+    /// probe's key. Every other plan is one run of positions in the
+    /// tt-ordered view.
     pub(crate) fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
         let strategy = plan.strategy_name();
         let span = if self.pin == Timestamp::MAX {
@@ -309,16 +312,21 @@ impl View<'_> {
         let prefix = |tt: Timestamp| self.elements.partition_point(|e| e.tt_begin <= tt);
         let ordered = self.schema.is_degenerate() || self.schema.is_vt_ordered();
 
+        let mut by_runs = |range, probe| {
+            self.elements.probe(range, probe, &mut take);
+            0..0
+        };
         let scan = match plan {
             Plan::PointProbe { from, to } | Plan::IntervalProbe { from, to } => {
-                let probe = RunProbe::Valid { from, to };
-                self.elements.probe(self.visible, probe, &mut take);
-                0..0
+                by_runs(0..self.visible, RunProbe::Valid { from, to })
             }
-            Plan::ObjectScan { object } => {
-                let probe = RunProbe::Object(object);
-                self.elements.probe(self.visible, probe, &mut take);
-                0..0
+            Plan::ObjectScan { object } => by_runs(0..self.visible, RunProbe::Object(object)),
+            Plan::TtWindowScan { band, from, to } => {
+                let (lo_edge, hi_edge) = tt_window_edges(self.schema, query, band, from, to);
+                // Elements stored after the pin are invisible regardless
+                // of the window.
+                let lo = self.elements.partition_point(|e| e.tt_begin < lo_edge);
+                by_runs(lo..prefix(hi_edge.min(pin)), RunProbe::Valid { from, to })
             }
             Plan::AppendOrderSearch { from, to } if ordered => {
                 // The base order is also valid-time order; binary search
@@ -329,12 +337,6 @@ impl View<'_> {
             }
             Plan::FullScan | Plan::AppendOrderSearch { .. } => 0..self.visible,
             Plan::TtPrefixScan { tt } => 0..prefix(tt.min(pin)),
-            Plan::TtWindowScan { band, from, to } => {
-                let (lo_edge, hi_edge) = tt_window_edges(self.schema, query, band, from, to);
-                // Elements stored after the pin are invisible regardless
-                // of the window.
-                self.elements.partition_point(|e| e.tt_begin < lo_edge)..prefix(hi_edge.min(pin))
-            }
             Plan::EmptyScan => 0..0,
         };
         self.elements.range(scan).for_each(take);

@@ -8,8 +8,10 @@
 //!    relations the search range's lower edge is widened by the maximum
 //!    interval duration when a declared interval regularity bounds it.
 //! 2. **Bounded relations** (two-sided offset band): convert the valid-time
-//!    predicate into a transaction-time window plus residual filter
-//!    ([`Plan::TtWindowScan`]).
+//!    predicate into a transaction-time window and probe only that
+//!    window's chunks through their valid-time runs, plus the residual
+//!    filter ([`Plan::TtWindowScan`]). The window's chunks are a subset
+//!    of those rule 3 probes, so the proxy never loses to it.
 //! 3. Otherwise probe each storage chunk's valid-time run
 //!    ([`Plan::PointProbe`] / [`Plan::IntervalProbe`]). Runs keep every
 //!    element ever stored — a deletion is a `tt_d` filter at the reader's

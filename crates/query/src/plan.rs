@@ -81,8 +81,10 @@ pub enum Plan {
         /// Exclusive valid-time upper bound of the probe.
         to: Timestamp,
     },
-    /// Probe the transaction-time window implied by the offset band, then
-    /// apply the residual valid-time filter (the tt-proxy strategy).
+    /// Binary search the transaction-time window the offset band implies
+    /// for the probe, then probe the valid-time runs of that window's
+    /// chunks — filtering the open tail by key — and apply the residual
+    /// predicate (the tt-proxy strategy).
     TtWindowScan {
         /// The declared conservative offset band.
         band: OffsetBand,

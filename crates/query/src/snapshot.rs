@@ -13,14 +13,14 @@
 //! ([`crate::plan_query_annotated`]) and the live executor's plan loop and
 //! predicate: a live read is the same loop pinned at the newest state
 //! (snapshot reducibility), so the two cannot drift apart. Point probes,
-//! interval stabs and object scans probe the key runs the view's chunks
-//! share with the live store — built once when a chunk seals, never
-//! touched by a delete — and filter the open tail by the probe's key.
-//! Order-exploiting plans (tt-prefix,
-//! tt-window, append-order search) keep their binary searches — those
-//! need only the base order, which the view preserves, in either store
-//! mode. The executor takes no locks and touches no shared mutable state:
-//! a server thread can run it while ingest batches apply and WAL appends
+//! interval stabs, tt-window scans and object scans probe the key runs
+//! the view's chunks share with the live store — built once when a chunk
+//! seals, never touched by a delete — and filter the open tail by the
+//! probe's key; a tt-window scan first binary searches its window's
+//! chunks in the base order. Tt-prefix and append-order searches need
+//! only the base order, which the view preserves, in either store mode.
+//! The executor takes no locks and touches no shared mutable state: a
+//! server thread can run it while ingest batches apply and WAL appends
 //! proceed.
 
 use std::sync::Arc;

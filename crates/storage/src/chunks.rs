@@ -234,23 +234,30 @@ impl ElementChunks {
             })
     }
 
-    /// Visits, in position order, every element among the first `visible`
-    /// positions whose key `probe` selects. A sealed chunk with a run for
-    /// the probe is probed; any other chunk — the open tail, or a relation
-    /// that keeps no such run — is filtered by key. `visit` still applies
-    /// the query's predicate at its pin.
-    pub fn probe<'a>(&'a self, visible: usize, probe: RunProbe, mut visit: impl FnMut(&'a Element)) {
-        let visible = visible.min(self.len);
+    /// Visits, in position order, every element in the global position
+    /// `range` whose key `probe` selects. A sealed chunk with a run for
+    /// the probe is probed and its hits clipped to the range; any other
+    /// chunk — the open tail, or a relation that keeps no such run — is
+    /// filtered by key within the range. `visit` still applies the
+    /// query's predicate at its pin.
+    pub fn probe<'a>(&'a self, range: Range<usize>, probe: RunProbe, mut visit: impl FnMut(&'a Element)) {
+        let end = range.end.min(self.len);
+        let start = range.start.min(end);
+        let first = start / CHUNK_CAP;
         let mut hits = Vec::new();
-        for (k, chunk) in self.chunks[..visible.div_ceil(CHUNK_CAP)].iter().enumerate() {
-            let slots = &chunk.slots[..(visible - k * CHUNK_CAP).min(CHUNK_CAP)];
+        for (k, chunk) in self.chunks[first..end.div_ceil(CHUNK_CAP)].iter().enumerate() {
+            let base = (first + k) * CHUNK_CAP;
+            let (lo, hi) = (start.saturating_sub(base), (end - base).min(CHUNK_CAP));
             hits.clear();
             if chunk.runs.get().is_some_and(|r| r.probe(probe, &mut hits)) {
-                hits.iter()
-                    .take_while(|&&o| o < slots.len())
-                    .for_each(|&o| visit(filled(&slots[o])));
+                // Hits ascend: skip those before the range (none when it
+                // starts at the chunk), then stop at its end.
+                hits[hits.partition_point(|&o| o < lo)..]
+                    .iter()
+                    .take_while(|&&o| o < hi)
+                    .for_each(|&o| visit(filled(&chunk.slots[o])));
             } else {
-                slots
+                chunk.slots[lo..hi]
                     .iter()
                     .filter_map(OnceLock::get)
                     .filter(|e| probe.selects(e))
@@ -395,6 +402,15 @@ mod tests {
         probes
     }
 
+    /// Whether `e`, a [`keyed`] element, meets the probe, by brute force.
+    fn meets(p: RunProbe, e: &Element) -> bool {
+        match (p, e.valid) {
+            (RunProbe::Object(o), _) => e.object == o,
+            (RunProbe::Valid { from, to }, ValidTime::Event(t)) => from <= t && t < to,
+            (RunProbe::Valid { .. }, ValidTime::Interval(_)) => unreachable!(),
+        }
+    }
+
     /// Every probe's answer over `view` as element ids, checked against a
     /// brute-force filter of `view.iter()`.
     fn probe_ids(view: &ElementChunks) -> Vec<Vec<u64>> {
@@ -402,20 +418,56 @@ mod tests {
             .into_iter()
             .map(|p| {
                 let mut got = Vec::new();
-                view.probe(view.len(), p, |e| got.push(e.id.raw()));
+                view.probe(0..view.len(), p, |e| got.push(e.id.raw()));
                 let brute: Vec<u64> = view
                     .iter()
-                    .filter(|e| match (p, e.valid) {
-                        (RunProbe::Object(o), _) => e.object == o,
-                        (RunProbe::Valid { from, to }, ValidTime::Event(t)) => from <= t && t < to,
-                        (RunProbe::Valid { .. }, ValidTime::Interval(_)) => unreachable!(),
-                    })
+                    .filter(|e| meets(p, e))
                     .map(|e| e.id.raw())
                     .collect();
                 assert_eq!(got, brute, "{p:?} over {} elements", view.len());
                 got
             })
             .collect()
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)] // an inverted range is an input
+    fn probe_over_position_ranges_matches_filtered_range() {
+        let n = 3 * CHUNK_CAP + 100;
+        let mut c = ChunkedElements::with_index(IndexChoice::PointIndex);
+        (0..n).for_each(|i| c.push(keyed(i)));
+        let (cap, tail) = (CHUNK_CAP, 3 * CHUNK_CAP);
+        let ranges = [
+            // Whole chunks, and starts and ends mid-chunk.
+            0..cap,
+            0..n,
+            5..cap - 5,
+            cap - 3..2 * cap + 7,
+            cap + 500..2 * cap,
+            // Into, across and within the open tail, and past the end.
+            2 * cap + 1000..tail + 50,
+            tail - 1..n,
+            tail + 10..tail + 60,
+            tail + 90..n + 500,
+            // Empty, at a seal, mid-chunk, inverted and past the end.
+            cap..cap,
+            700..700,
+            tail + 40..tail + 40,
+            900..100,
+            n + 5..n + 9,
+        ];
+        for range in ranges {
+            for p in keyed_probes() {
+                let mut got = Vec::new();
+                c.probe(range.clone(), p, |e| got.push(e.id.raw()));
+                let brute: Vec<u64> = c
+                    .range(range.clone())
+                    .filter(|e| meets(p, e))
+                    .map(|e| e.id.raw())
+                    .collect();
+                assert_eq!(got, brute, "{p:?} over {range:?}");
+            }
+        }
     }
 
     #[test]

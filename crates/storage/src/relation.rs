@@ -112,8 +112,8 @@ impl TemporalRelation {
     /// schema through [`tempora_index::select_index`]: relations whose
     /// declarations guarantee valid-time-ordered arrival (degenerate,
     /// relation-wide sequential or non-decreasing) get the store's ordered
-    /// mode, where valid-time reads are binary searches; relations that
-    /// need a dedicated valid-time index get its per-chunk runs.
+    /// mode, where valid-time reads are binary searches; every other
+    /// relation gets per-chunk valid-time runs.
     #[must_use]
     pub fn new(schema: Arc<RelationSchema>, clock: Arc<dyn TransactionClock>) -> Self {
         let store = TupleStore::for_index(tempora_index::select_index(&schema));
@@ -526,9 +526,13 @@ impl TemporalRelation {
             self.engine = scratch;
             self.engine.publish_check_metrics();
         }
-        self.store.replace(id, element.clone())?;
-        if let Some(log) = &mut self.backlog {
-            log.log_modify(id, element)?;
+        // Only a kept backlog costs a clone of the element.
+        match &mut self.backlog {
+            Some(log) => {
+                self.store.replace(id, element.clone())?;
+                log.log_modify(id, element)?;
+            }
+            None => self.store.replace(id, element)?,
         }
         self.next_element += 1;
         self.stats.modifications += 1;

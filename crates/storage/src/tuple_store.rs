@@ -18,7 +18,7 @@
 //! so valid-timeslice reads become binary searches
 //! ([`TupleStore::slice_by_vt_begin`]) with no extra index.
 //!
-//! Per-object partitions and any dedicated valid-time index are the key
+//! Per-object partitions and any valid-time index are the key
 //! runs each storage chunk keeps (see [`crate::chunks`]).
 
 use std::collections::HashMap;
@@ -401,7 +401,7 @@ mod tests {
     fn object_history(store: &TupleStore, obj: u64) -> Vec<&Element> {
         let mut history = Vec::new();
         let probe = RunProbe::Object(ObjectId::new(obj));
-        store.elements().probe(store.len(), probe, |e| history.push(e));
+        store.elements().probe(0..store.len(), probe, |e| history.push(e));
         history
     }
 

@@ -45,10 +45,11 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use tempora_obs::{Counter, Gauge, Histogram};
 use tempora_query::QueryResult;
 use tempora_time::Timestamp;
 use tempora_wal::{DurableDatabase, WalError};
@@ -159,6 +160,31 @@ pub fn render_elements(result: &QueryResult) -> String {
     out
 }
 
+/// The server's metrics, resolved once so a request takes no registry
+/// lock.
+struct ServeMetrics {
+    connections: Arc<Gauge>,
+    inflight: Arc<Gauge>,
+    requests: Arc<Counter>,
+    busy_rejections: Arc<Counter>,
+    readonly_responses: Arc<Counter>,
+    request_seconds: Arc<Histogram>,
+}
+
+impl ServeMetrics {
+    fn get() -> &'static ServeMetrics {
+        static METRICS: OnceLock<ServeMetrics> = OnceLock::new();
+        METRICS.get_or_init(|| ServeMetrics {
+            connections: tempora_obs::gauge("tempora_serve_connections"),
+            inflight: tempora_obs::gauge("tempora_serve_inflight"),
+            requests: tempora_obs::counter("tempora_serve_requests_total"),
+            busy_rejections: tempora_obs::counter("tempora_serve_busy_rejections_total"),
+            readonly_responses: tempora_obs::counter("tempora_serve_readonly_responses_total"),
+            request_seconds: tempora_obs::histogram("tempora_serve_request_seconds"),
+        })
+    }
+}
+
 fn render_query_response(pin: Timestamp, result: &QueryResult) -> String {
     format!(
         "OK {}\n{}\n{}",
@@ -195,7 +221,7 @@ pub fn handle_request(db: &DurableDatabase, request: &str) -> String {
         "CREATE" | "INSERT" | "DELETE" | "UPDATE" => match db.execute(request) {
             Ok(outcome) => format!("OK -\n{outcome}"),
             Err(WalError::Degraded(msg)) => {
-                tempora_obs::counter("tempora_serve_readonly_responses_total").inc();
+                ServeMetrics::get().readonly_responses.inc();
                 let status = db.status();
                 format!(
                     "READONLY {msg}; {} parked frame(s) await `.wal retry`; \
@@ -345,8 +371,9 @@ impl Server {
         for handle in workers {
             let _ = handle.join();
         }
-        tempora_obs::gauge("tempora_serve_connections").set(0);
-        tempora_obs::gauge("tempora_serve_inflight").set(0);
+        let metrics = ServeMetrics::get();
+        metrics.connections.set(0);
+        metrics.inflight.set(0);
     }
 }
 
@@ -375,7 +402,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let open = shared.connections.fetch_add(1, Ordering::SeqCst) + 1;
         if open > shared.config.max_connections {
             shared.connections.fetch_sub(1, Ordering::SeqCst);
-            tempora_obs::counter("tempora_serve_busy_rejections_total").inc();
+            ServeMetrics::get().busy_rejections.inc();
             let mut stream = stream;
             let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
             let _ = write_frame(
@@ -389,7 +416,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             );
             continue;
         }
-        tempora_obs::gauge("tempora_serve_connections").set(open as i64);
+        ServeMetrics::get().connections.set(open as i64);
         let id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         if let (Ok(clone), Ok(mut conns)) = (stream.try_clone(), shared.conns.lock()) {
             conns.insert(id, clone);
@@ -401,7 +428,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 conns.remove(&id);
             }
             let open = worker_shared.connections.fetch_sub(1, Ordering::SeqCst) - 1;
-            tempora_obs::gauge("tempora_serve_connections").set(open as i64);
+            ServeMetrics::get().connections.set(open as i64);
         });
         if let Ok(mut workers) = shared.workers.lock() {
             workers.push(handle);
@@ -414,6 +441,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
     let _ = stream.set_nodelay(true);
+    let metrics = ServeMetrics::get();
     while !shared.stop.load(Ordering::SeqCst) {
         let payload = match read_frame(&mut stream, MAX_FRAME_BYTES) {
             Ok(Some(payload)) => payload,
@@ -425,24 +453,24 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(_) => "ERR request is not UTF-8".to_string(),
             Ok(text) => {
                 let inflight = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                tempora_obs::gauge("tempora_serve_inflight").set(inflight as i64);
+                metrics.inflight.set(inflight as i64);
                 let response = if inflight > shared.config.max_inflight {
-                    tempora_obs::counter("tempora_serve_busy_rejections_total").inc();
+                    metrics.busy_rejections.inc();
                     format!(
                         "BUSY {inflight} request(s) in flight (limit {}); retry",
                         shared.config.max_inflight
                     )
                 } else {
-                    tempora_obs::counter("tempora_serve_requests_total").inc();
+                    metrics.requests.inc();
                     let from = std::time::Instant::now();
                     let response = handle_request(&shared.db, &text);
-                    tempora_obs::histogram("tempora_serve_request_seconds").record_us(
+                    metrics.request_seconds.record_us(
                         u64::try_from(from.elapsed().as_micros()).unwrap_or(u64::MAX),
                     );
                     response
                 };
                 let now = shared.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-                tempora_obs::gauge("tempora_serve_inflight").set(now as i64);
+                metrics.inflight.set(now as i64);
                 response
             }
         };
@@ -671,6 +699,20 @@ mod tests {
         assert!(response.body.contains("temperature"), "{}", response.body);
     }
 
+    /// A served query's stats line, `<strategy>: examined <n> returned
+    /// <m>`, parsed.
+    fn served_stats(db: &DurableDatabase, request: &str) -> (String, usize, usize) {
+        let response = Response::parse(&handle_request(db, request));
+        assert!(matches!(response.status, ResponseStatus::Ok { .. }), "{response:?}");
+        let line = response.body.lines().next().unwrap_or_default().to_string();
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let [strategy, "examined", examined, "returned", returned] = words[..] else {
+            panic!("stats line {line:?}");
+        };
+        let count = |n: &str| n.parse::<usize>().expect("a count");
+        (strategy.trim_end_matches(':').to_string(), count(examined), count(returned))
+    }
+
     #[test]
     fn served_index_plans_stay_o_answer() {
         use tempora_core::ObjectId;
@@ -684,18 +726,7 @@ mod tests {
             db.insert("plant", object, Timestamp::from_secs(i * 7_919 % 5_000), vec![])
                 .expect("insert");
         }
-        // The stats line: `<strategy>: examined <n> returned <m>`.
-        let stats = |request: &str| -> (String, usize, usize) {
-            let response = Response::parse(&handle_request(&db, request));
-            assert!(matches!(response.status, ResponseStatus::Ok { .. }), "{response:?}");
-            let line = response.body.lines().next().unwrap_or_default().to_string();
-            let words: Vec<&str> = line.split_whitespace().collect();
-            let [strategy, "examined", examined, "returned", returned] = words[..] else {
-                panic!("stats line {line:?}");
-            };
-            let count = |n: &str| n.parse::<usize>().expect("a count");
-            (strategy.trim_end_matches(':').to_string(), count(examined), count(returned))
-        };
+        let stats = |request: &str| served_stats(&db, request);
         for vt in [0, 1_234, 4_999] {
             let at = Timestamp::from_secs(vt);
             let (strategy, examined, returned) = stats(&format!("SELECT FROM plant AT {at}"));
@@ -707,6 +738,42 @@ mod tests {
                 stats(&format!("SELECT FROM plant HISTORY OF {object}"));
             assert_eq!((strategy.as_str(), returned), ("object-scan", 100));
             assert!(examined <= returned + CHUNK_CAP, "HISTORY OF {object}: examined {examined}");
+        }
+    }
+
+    #[test]
+    fn served_bounded_window_plans_stay_o_answer() {
+        use tempora_core::ObjectId;
+        use tempora_storage::CHUNK_CAP;
+        let (db, clock) = served_db();
+        db.execute_ddl("CREATE TEMPORAL RELATION feed (k KEY) AS EVENT WITH STRONGLY BOUNDED 1h 1h")
+            .expect("ddl");
+        // 8 000 rows one second apart, each valid up to an hour either
+        // side of its storage: a probe's ±1 h window spans up to 7 200
+        // rows, over seven sealed chunks and the open tail.
+        let tt = |i: i64| 10_000 + i;
+        let vt = |i: i64| tt(i) + i * 7_919 % 7_201 - 3_600;
+        for i in 0..8_000_i64 {
+            clock.set(Timestamp::from_secs(tt(i)));
+            let object = ObjectId::new(u64::try_from(i % 50).unwrap());
+            db.insert("feed", object, Timestamp::from_secs(vt(i)), vec![])
+                .expect("insert");
+        }
+        let stamp = |s: i64| Timestamp::from_secs(s);
+        for i in [0, 1_234, 4_000, 7_999] {
+            let at = stamp(vt(i));
+            let until = stamp(vt(i) + 60);
+            let as_of = stamp(tt(i));
+            for request in [
+                format!("SELECT FROM feed AT {at}"),
+                format!("SELECT FROM feed DURING {at} TO {until}"),
+                format!("SELECT FROM feed AT {at} AS OF {as_of}"),
+            ] {
+                let (strategy, examined, returned) = served_stats(&db, &request);
+                assert_eq!(strategy, "tt-window-scan", "{request}");
+                assert!(returned >= 1, "{request}: row {i} is in the answer");
+                assert!(examined <= returned + CHUNK_CAP, "{request}: examined {examined}");
+            }
         }
     }
 

@@ -229,7 +229,8 @@ fn concurrent_clients_always_see_a_consistent_pinned_snapshot() {
 
     // Differential replay: every response must equal its query replayed
     // against a dump/restore of the snapshot's tt-prefix. Restored copies
-    // are cached per pin — many responses share a memoized snapshot.
+    // are cached per pin — responses share a pin when no write lands
+    // between them.
     let mut restored_by_pin = HashMap::new();
     let mut replayed = 0_usize;
     for o in &observed {
