@@ -1,11 +1,13 @@
 //! The band sweep: how the band-driven tt-window scan compares with a
 //! plain point probe as the declared band widens.
 //!
-//! Both probe the same per-chunk point runs; the tt-window scan visits
-//! only the chunks of the transaction-time window the band implies, a
-//! subset of the chunks a point probe visits. So the tt-proxy never loses,
-//! and a wide band only shrinks its lead. The bench times both strategies
-//! and prints examined elements per query side by side at each band.
+//! Both probe the same valid-time runs; the tt-window scan searches only
+//! the runs over the transaction-time window the band implies, while a
+//! point probe searches the runs over the whole visible prefix. Either
+//! way that is O(log chunks) runs (the Fenwick spans), so the band decides
+//! less than it did with one run per chunk. The bench times both
+//! strategies and prints examined elements and runs searched per query
+//! side by side at each band.
 
 use std::sync::Arc;
 
@@ -47,13 +49,14 @@ fn build(half_band: i64, declare: bool, seed: u64) -> (IndexedRelation, Vec<Time
     (rel, probes)
 }
 
-/// Mean elements examined per timeslice probe.
-fn examined_per_query(rel: &IndexedRelation, probes: &[Timestamp]) -> f64 {
-    let examined: usize = probes
-        .iter()
-        .map(|&vt| rel.execute(Query::Timeslice { vt }).stats.examined)
-        .sum();
-    examined as f64 / probes.len() as f64
+/// Mean elements examined and runs searched per timeslice probe.
+fn per_query(rel: &IndexedRelation, probes: &[Timestamp]) -> (f64, f64) {
+    let (examined, runs) = probes.iter().fold((0, 0), |(examined, runs), &vt| {
+        let stats = rel.execute(Query::Timeslice { vt }).stats;
+        (examined + stats.examined, runs + stats.runs)
+    });
+    let n = probes.len() as f64;
+    (examined as f64 / n, runs as f64 / n)
 }
 
 fn bench_crossover(c: &mut Criterion) {
@@ -77,17 +80,20 @@ fn bench_crossover(c: &mut Criterion) {
     }
     group.finish();
 
-    // Examined-elements sweep, printed once for the record.
-    println!("\n=== band sweep (n = {N}, tt span = {} s) ===", N as i64 * TT_STEP);
-    println!("{:>10} {:>20} {:>22}", "half-band", "tt-window examined", "point-probe examined");
+    // Examined-elements and runs-searched sweep, printed once for the
+    // record.
+    println!("\n=== band sweep (n = {N}, tt span = {} s), per query ===", N as i64 * TT_STEP);
+    println!(
+        "{:>10} {:>19} {:>15} {:>21} {:>17}",
+        "half-band", "tt-window examined", "tt-window runs", "point-probe examined", "point-probe runs"
+    );
     for half_band in [60_i64, 3_600, 86_400, 500_000, 2_000_000] {
         let (bounded, probes) = build(half_band, true, 7);
         let (general, _) = build(half_band, false, 7);
+        let (window_examined, window_runs) = per_query(&bounded, &probes);
+        let (point_examined, point_runs) = per_query(&general, &probes);
         println!(
-            "{:>9}s {:>20.1} {:>22.1}",
-            half_band,
-            examined_per_query(&bounded, &probes),
-            examined_per_query(&general, &probes),
+            "{half_band:>9}s {window_examined:>19.1} {window_runs:>15.1} {point_examined:>21.1} {point_runs:>17.1}"
         );
     }
     c.bench_function("crossover_table_emitted", |b| b.iter(|| black_box(1)));

@@ -11,11 +11,15 @@
 //!   relations) or a begin-sorted interval run with the chunk's longest
 //!   length (interval relations). Runs are built once when a chunk seals
 //!   and never touched by a delete, so one index serves every pinned read;
+//! * [`ValidRun`] spans — sealed chunk `i` (1-based) also keeps a
+//!   valid-time run merged over chunks `(i − lowbit(i), i]`, a Fenwick
+//!   layout, so a probe over `k` sealed chunks searches `popcount(k)`
+//!   runs, and any position range O(log chunks) runs, not one per chunk;
 //! * [`tt_proxy`] — *the specialization payoff*: when a relation's declared
 //!   offset band bounds `vt − tt`, a valid-time predicate converts into a
 //!   transaction-time range on the (always-ordered) `tt` dimension, so a
-//!   probe visits only the chunks of that window and asks each chunk's
-//!   valid-time run for its rows;
+//!   probe visits only the chunks of that window and asks the valid-time
+//!   runs over them for its rows;
 //! * [`IndexChoice`]/[`select_index`] — the selector that picks a strategy
 //!   from a schema's declared specializations.
 
@@ -26,5 +30,5 @@ mod runs;
 mod selector;
 pub mod tt_proxy;
 
-pub use runs::{ChunkRuns, RunProbe};
+pub use runs::{ChunkRuns, RunProbe, ValidRun};
 pub use selector::{select_index, IndexChoice};

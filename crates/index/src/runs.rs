@@ -1,5 +1,5 @@
-//! Per-chunk key runs: the object and valid-time indexes of one storage
-//! chunk.
+//! Per-chunk key runs and the spans that merge them: the object and
+//! valid-time indexes of storage chunks.
 //!
 //! Storage keeps elements in fixed-size chunks in transaction-time order.
 //! When a chunk seals, it gets small sorted runs of keys built from its
@@ -12,9 +12,19 @@
 //!   [`IndexChoice::PointIndex`], and for [`IndexChoice::IntervalTree`]
 //!   intervals sorted by begin with the chunk's longest length (a probe
 //!   searches past the begins too early to reach it and filters at most
-//!   one chunk of keys). An [`IndexChoice::TtProxy`] relation keeps the
+//!   one run of keys). An [`IndexChoice::TtProxy`] relation keeps the
 //!   run its stamping calls for: its offset band picks the chunks a
-//!   valid-time probe visits, and each chunk's run finds the rows.
+//!   valid-time probe visits, and the runs over them find the rows.
+//!
+//! Sealed chunk `i` (1-based) also gets a **span run** when `lowbit(i) >
+//! 1`: one valid-time run over chunks `(i − lowbit(i), i]`, the layout of
+//! a Fenwick tree (Fenwick 1994). [`ChunkRuns::with_span`] builds it by
+//! merging the sorted runs that tile those chunks, with offsets counted
+//! from the span's first element; an interval span's longest length is
+//! the maximum over its chunks. So `k` sealed chunks are covered by
+//! `popcount(k)` runs, and a valid-time probe over a position range
+//! searches O(log chunks) runs of O(log chunk size) steps each instead of
+//! one run per chunk. Object runs get no spans.
 //!
 //! The open chunk keeps no run: a reader filters its elements by the
 //! probe's key ([`RunProbe::selects`]), the same test a run answers. A
@@ -57,22 +67,15 @@ impl RunProbe {
     }
 }
 
-/// The sorted key runs of one sealed chunk.
+/// The sorted key runs of one sealed chunk, and its span run when it has
+/// one.
 #[derive(Debug)]
 pub struct ChunkRuns {
     objects: KeyRun<u64>,
-    valid: ValidRun,
-}
-
-#[derive(Debug)]
-enum ValidRun {
-    /// Valid-time reads need no run (ordered relations), or a point run
-    /// met an interval stamp it cannot key.
-    None,
-    /// Event valid times.
-    Point(KeyRun<i64>),
-    /// Valid intervals (events as their one-tick span).
-    Interval(IntervalRun),
+    /// `None` when valid-time reads need no run (ordered relations), or a
+    /// point run met an interval stamp it cannot key.
+    valid: Option<ValidRun>,
+    span: Option<ValidRun>,
 }
 
 impl ChunkRuns {
@@ -111,14 +114,52 @@ impl ChunkRuns {
             }
         }
         let valid = match choice {
-            IndexChoice::PointIndex if keys_points => ValidRun::Point(KeyRun::sorted(points)),
-            IndexChoice::IntervalTree => ValidRun::Interval(IntervalRun::sorted(intervals)),
-            _ => ValidRun::None,
+            IndexChoice::PointIndex if keys_points => Some(ValidRun(ValidKeys::Point(KeyRun::sorted(points)))),
+            IndexChoice::IntervalTree => Some(ValidRun(ValidKeys::Interval(IntervalRun::sorted(intervals)))),
+            _ => None,
         };
         ChunkRuns {
             objects: KeyRun::sorted(objects),
             valid,
+            span: None,
         }
+    }
+
+    /// Adds the chunk's span run: one valid-time run over the elements of
+    /// `earlier` and then of this chunk, with offsets counted from the
+    /// first element `earlier` covers. `earlier` holds the valid-time
+    /// runs ([`Self::valid`] or [`Self::span`]) that tile the chunks just
+    /// before this one, in position order. The runs are already sorted, so
+    /// the span merges them, smallest first: a key is copied once per
+    /// doubling of the run it sits in, which is linear for runs whose
+    /// sizes double, as Fenwick-tree children do. The chunk stays without
+    /// a span when `earlier` is empty, or when this chunk or any run in
+    /// `earlier` is missing (`None`) or keyed differently.
+    #[must_use]
+    pub fn with_span<'a>(self, earlier: impl IntoIterator<Item = Option<&'a ValidRun>>) -> Self {
+        let mut parts: Vec<Option<&ValidRun>> = earlier.into_iter().collect();
+        parts.push(self.valid());
+        let span = parts.into_iter().collect::<Option<Vec<_>>>().and_then(|parts| {
+            let [rest @ .., left, right] = &parts[..] else {
+                return None;
+            };
+            rest.iter()
+                .rev()
+                .try_fold(left.followed_by(right)?, |span, left| left.followed_by(&span))
+        });
+        ChunkRuns { span, ..self }
+    }
+
+    /// The chunk's own valid-time run, if it keeps one.
+    #[must_use]
+    pub fn valid(&self) -> Option<&ValidRun> {
+        self.valid.as_ref()
+    }
+
+    /// The span run [`Self::with_span`] added, if any.
+    #[must_use]
+    pub fn span(&self) -> Option<&ValidRun> {
+        self.span.as_ref()
     }
 
     /// Appends to `hits` the offsets, ascending, of exactly the elements
@@ -126,20 +167,92 @@ impl ChunkRuns {
     /// Returns `false`, adding nothing, when the chunk keeps no run for
     /// the probe.
     pub fn probe(&self, probe: RunProbe, hits: &mut Vec<usize>) -> bool {
-        let start = hits.len();
         match (probe, &self.valid) {
-            (RunProbe::Object(object), _) => self.objects.find(object.raw(), object.raw(), hits),
-            (RunProbe::Valid { from, to }, ValidRun::Point(run)) => {
-                run.find(from.micros(), to.micros() - 1, hits);
+            (RunProbe::Object(object), _) => {
+                // One key's offsets are already in position order.
+                self.objects.find(object.raw(), object.raw(), hits);
+                true
             }
-            (RunProbe::Valid { from, to }, ValidRun::Interval(run)) => {
-                run.overlapping(from.micros(), to.micros(), hits);
-            }
-            (RunProbe::Valid { .. }, ValidRun::None) => return false,
+            (RunProbe::Valid { .. }, Some(run)) => run.probe(probe, hits),
+            (RunProbe::Valid { .. }, None) => false,
+        }
+    }
+}
+
+/// A sorted valid-time run over one chunk, or over the consecutive chunks
+/// of a span, keyed once per element; an offset counts from the first
+/// element the run covers.
+#[derive(Debug)]
+pub struct ValidRun(ValidKeys);
+
+#[derive(Debug)]
+enum ValidKeys {
+    /// Event valid times.
+    Point(KeyRun<i64>),
+    /// Valid intervals (events as their one-tick span).
+    Interval(IntervalRun),
+}
+
+impl ValidRun {
+    /// How many elements the run keys.
+    fn len(&self) -> usize {
+        match &self.0 {
+            ValidKeys::Point(run) => run.0.len(),
+            ValidKeys::Interval(run) => run.entries.len(),
+        }
+    }
+
+    /// Appends to `hits` the offsets, ascending, of exactly the elements
+    /// whose valid time meets a [`RunProbe::Valid`]. Returns `false`,
+    /// adding nothing, for an object probe, which a valid-time run cannot
+    /// answer.
+    pub fn probe(&self, probe: RunProbe, hits: &mut Vec<usize>) -> bool {
+        let RunProbe::Valid { from, to } = probe else {
+            return false;
+        };
+        let start = hits.len();
+        match &self.0 {
+            ValidKeys::Point(run) => run.find(from.micros(), to.micros() - 1, hits),
+            ValidKeys::Interval(run) => run.overlapping(from.micros(), to.micros(), hits),
         }
         hits[start..].sort_unstable();
         true
     }
+
+    /// The run over this run's elements followed by `right`'s, by one
+    /// linear merge; `None` when the two are keyed differently.
+    fn followed_by(&self, right: &ValidRun) -> Option<ValidRun> {
+        let shift = u32::try_from(self.len()).expect("span offsets fit u32");
+        let keys = match (&self.0, &right.0) {
+            (ValidKeys::Point(left), ValidKeys::Point(right)) => {
+                let right = right.0.iter().map(|&(k, o)| (k, o + shift));
+                ValidKeys::Point(KeyRun(merge(&left.0, right)))
+            }
+            (ValidKeys::Interval(left), ValidKeys::Interval(right)) => {
+                let entries = right.entries.iter().map(|&(b, e, o)| (b, e, o + shift));
+                ValidKeys::Interval(IntervalRun {
+                    entries: merge(&left.entries, entries),
+                    max_len: left.max_len.max(right.max_len),
+                })
+            }
+            _ => return None,
+        };
+        Some(ValidRun(keys))
+    }
+}
+
+/// Merges two sorted sequences into one sorted vector.
+fn merge<T: Ord + Copy>(left: &[T], right: impl ExactSizeIterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    let mut right = right.peekable();
+    for &l in left {
+        while let Some(r) = right.next_if(|&r| r < l) {
+            out.push(r);
+        }
+        out.push(l);
+    }
+    out.extend(right);
+    out
 }
 
 /// Keys tagged with their element's offset, sorted by `(key, offset)`.
@@ -331,6 +444,91 @@ mod tests {
         let runs = ChunkRuns::build(IndexChoice::PointIndex, [&interval(0, 1, 5)]);
         assert!(!runs.probe(valid(1, 2), &mut Vec::new()));
         assert_eq!(probe(&runs, RunProbe::Object(ObjectId::new(0))), vec![0]);
+    }
+
+    /// Spans over `chunks`, merged as a Fenwick tree merges them (the
+    /// widest runs of the earlier chunks, then the last chunk's own), and
+    /// checks every probe against brute force over the concatenation.
+    fn check_span(choice: IndexChoice, chunks: &[Vec<Element>], probes: &[RunProbe]) {
+        let mut built: Vec<ChunkRuns> = Vec::new();
+        for (k, chunk) in chunks.iter().enumerate() {
+            let i = k + 1;
+            let lowbit = i & i.wrapping_neg();
+            let mut earlier = Vec::new();
+            let mut j = i - 1;
+            while j > i - lowbit {
+                let runs = &built[j - 1];
+                earlier.push(if j & j.wrapping_neg() > 1 { runs.span() } else { runs.valid() });
+                j -= j & j.wrapping_neg();
+            }
+            earlier.reverse();
+            built.push(ChunkRuns::build(choice, chunk).with_span(earlier));
+            let Some(span) = built[k].span() else {
+                assert_eq!(lowbit, 1, "chunk {i} spans {lowbit} chunks");
+                continue;
+            };
+            let covered: Vec<Element> = chunks[i - lowbit..i].concat();
+            for &p in probes {
+                let mut hits = Vec::new();
+                assert!(span.probe(p, &mut hits), "{p:?}");
+                assert_eq!(hits, brute(&covered, p), "{p:?}, span of chunk {i}");
+            }
+            assert!(!span.probe(RunProbe::Object(ObjectId::new(1)), &mut Vec::new()));
+        }
+    }
+
+    #[test]
+    fn spans_merge_to_the_runs_of_their_chunks() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        // Eight chunks of uneven sizes, so offsets shift by each left run's
+        // length; duplicate keys across chunks, so ties keep position order.
+        let sizes = [5, 1, 9, 3, 64, 7, 2, 30];
+        let points: Vec<Vec<Element>> = sizes
+            .iter()
+            .map(|&n| (0..n).map(|i| event(i, 1, rng.gen_range(-40..40))).collect())
+            .collect();
+        let mut probes: Vec<RunProbe> = (-45..45).map(|t| valid(t, t + 1)).collect();
+        probes.extend([valid(-100, 100), valid(0, 10), valid(20, 5)]);
+        check_span(IndexChoice::PointIndex, &points, &probes);
+        check_span(IndexChoice::IntervalTree, &points, &probes);
+        // One long interval in one chunk: the span's longest length is the
+        // maximum over its chunks.
+        let intervals: Vec<Vec<Element>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                (0..n)
+                    .map(|i| {
+                        let b = rng.gen_range(-40..40);
+                        let len = if k == 2 && i == 0 { 500 } else { rng.gen_range(1..6) };
+                        interval(i, b, b + len)
+                    })
+                    .collect()
+            })
+            .collect();
+        check_span(IndexChoice::IntervalTree, &intervals, &probes);
+    }
+
+    #[test]
+    fn a_span_needs_a_valid_run_of_one_kind_in_every_chunk() {
+        let points = ChunkRuns::build(IndexChoice::PointIndex, [&event(0, 1, 5)]);
+        let intervals = ChunkRuns::build(IndexChoice::IntervalTree, [&event(0, 1, 5)]);
+        let unkeyed = ChunkRuns::build(IndexChoice::PointIndex, [&interval(0, 1, 5)]);
+        let ordered = ChunkRuns::build(IndexChoice::AppendOrder, [&event(0, 1, 5)]);
+        let span = |last: IndexChoice, earlier: &ChunkRuns| {
+            ChunkRuns::build(last, [&event(0, 1, 6)])
+                .with_span([earlier.valid()])
+                .span()
+                .is_some()
+        };
+        assert!(span(IndexChoice::PointIndex, &points));
+        assert!(!span(IndexChoice::IntervalTree, &points), "kinds differ");
+        assert!(!span(IndexChoice::PointIndex, &intervals), "kinds differ");
+        assert!(!span(IndexChoice::PointIndex, &unkeyed), "no run to merge");
+        assert!(!span(IndexChoice::PointIndex, &ordered), "no run to merge");
+        assert!(!span(IndexChoice::AppendOrder, &points), "the chunk keeps none");
+        let alone = ChunkRuns::build(IndexChoice::PointIndex, [&event(0, 1, 6)]).with_span([]);
+        assert!(alone.span().is_none(), "a span of one chunk is its own run");
     }
 
     #[test]

@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -315,8 +316,9 @@ pub fn reset() {
 pub struct TraceEvent {
     /// Span name (the static string passed to [`span`]).
     pub name: &'static str,
-    /// Optional free-form detail (e.g. a relation name or shard count).
-    pub detail: Option<String>,
+    /// Optional free-form detail (e.g. a relation name or shard count);
+    /// a static detail is borrowed, not copied.
+    pub detail: Option<Cow<'static, str>>,
     /// Nesting depth at the time the span was opened (0 = root).
     pub depth: u32,
     /// Microseconds from process start to span open.
@@ -356,7 +358,7 @@ thread_local! {
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
-    detail: Option<String>,
+    detail: Option<Cow<'static, str>>,
     depth: u32,
     start: Option<Instant>,
     start_us: u64,
@@ -368,13 +370,14 @@ pub fn span(name: &'static str) -> SpanGuard {
     span_inner(name, None)
 }
 
-/// Open a span with a free-form detail string.
+/// Open a span with a free-form detail: a `&'static str` is kept without
+/// allocating, a `String` is moved in.
 #[must_use]
-pub fn span_with(name: &'static str, detail: impl Into<String>) -> SpanGuard {
+pub fn span_with(name: &'static str, detail: impl Into<Cow<'static, str>>) -> SpanGuard {
     span_inner(name, Some(detail.into()))
 }
 
-fn span_inner(name: &'static str, detail: Option<String>) -> SpanGuard {
+fn span_inner(name: &'static str, detail: Option<Cow<'static, str>>) -> SpanGuard {
     if !is_enabled() {
         return SpanGuard {
             name,

@@ -24,17 +24,26 @@ pub struct ExecStats {
     pub examined: usize,
     /// Elements returned.
     pub returned: usize,
+    /// Sorted key runs binary searched: a chunk's own run or a span over
+    /// several chunks. Zero for plans that read positions in order.
+    pub runs: usize,
     /// The physical strategy used.
     pub strategy: &'static str,
 }
 
+/// `<strategy>: examined <n> returned <m>`, the stats line of a served
+/// answer; the alternate form (`{:#}`) appends ` runs <k>`.
 impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{}: examined {} returned {}",
             self.strategy, self.examined, self.returned
-        )
+        )?;
+        if f.alternate() {
+            write!(f, " runs {}", self.runs)?;
+        }
+        Ok(())
     }
 }
 
@@ -272,11 +281,12 @@ pub(crate) struct View<'a> {
 
 impl View<'_> {
     /// Executes `plan` for `query`. Index probes, tt-window scans and
-    /// object scans probe the key runs of each sealed chunk in their
-    /// position range — the visible prefix, or the band's transaction-time
-    /// window — and filter a chunk without the run (the open tail) by the
-    /// probe's key. Every other plan is one run of positions in the
-    /// tt-ordered view.
+    /// object scans probe the key runs over their position range — the
+    /// visible prefix, or the band's transaction-time window — through
+    /// [`ElementChunks::probe`]: valid-time spans where the range holds
+    /// them, a chunk's own run elsewhere, and the probe's key filter on a
+    /// chunk without the run (the open tail). Every other plan is one run
+    /// of positions in the tt-ordered view.
     pub(crate) fn run(&self, query: Query, plan: Plan, residual: Residual) -> QueryResult {
         let strategy = plan.strategy_name();
         let span = if self.pin == Timestamp::MAX {
@@ -302,6 +312,7 @@ impl View<'_> {
             pin,
         );
         let mut examined = 0usize;
+        let mut runs = 0usize;
         let mut elements: Vec<Element> = Vec::new();
         let mut take = |e: &Element| {
             examined += 1;
@@ -313,7 +324,7 @@ impl View<'_> {
         let ordered = self.schema.is_degenerate() || self.schema.is_vt_ordered();
 
         let mut by_runs = |range, probe| {
-            self.elements.probe(range, probe, &mut take);
+            runs += self.elements.probe(range, probe, &mut take);
             0..0
         };
         let scan = match plan {
@@ -345,11 +356,13 @@ impl View<'_> {
         sw.record(&metrics.exec);
         metrics.examined.add(examined as u64);
         metrics.returned.add(returned as u64);
+        metrics.runs.add(runs as u64);
         QueryResult {
             elements,
             stats: ExecStats {
                 examined,
                 returned,
+                runs,
                 strategy,
             },
         }
@@ -357,13 +370,14 @@ impl View<'_> {
 }
 
 /// One operator's metrics, labelled `operator` = the plan's strategy name:
-/// `tempora_query_exec_seconds`, `tempora_query_examined_total` and
-/// `tempora_query_returned_total`. Resolved once per strategy, so a query
-/// takes no registry lock.
+/// `tempora_query_exec_seconds`, `tempora_query_examined_total`,
+/// `tempora_query_returned_total` and `tempora_query_runs_searched_total`.
+/// Resolved once per strategy, so a query takes no registry lock.
 struct OperatorMetrics {
     exec: Arc<Histogram>,
     examined: Arc<Counter>,
     returned: Arc<Counter>,
+    runs: Arc<Counter>,
 }
 
 impl OperatorMetrics {
@@ -385,6 +399,7 @@ impl OperatorMetrics {
                 exec: tempora_obs::histogram_with("tempora_query_exec_seconds", "operator", operator),
                 examined: tempora_obs::counter_with("tempora_query_examined_total", "operator", operator),
                 returned: tempora_obs::counter_with("tempora_query_returned_total", "operator", operator),
+                runs: tempora_obs::counter_with("tempora_query_runs_searched_total", "operator", operator),
             }
         })
     }

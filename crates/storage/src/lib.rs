@@ -31,7 +31,8 @@
 //!   basis), via [`TemporalRelation::apply_batch`];
 //! * [`chunks`] — the chunked write-once element storage the store sits
 //!   on, each sealed chunk with the key runs built when it sealed (object,
-//!   and the valid-time run the schema's index choice asks for): because
+//!   and the valid-time run the schema's index choice asks for, plus a
+//!   Fenwick span of valid-time runs over the chunks before it): because
 //!   transaction time is append-only, a reader pinned at tick `t` sees an
 //!   immutable prefix, and [`TemporalRelation::snapshot_elements`] hands
 //!   that prefix out as an [`ElementChunks`] view — one pointer plus a

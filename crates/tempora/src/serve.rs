@@ -742,6 +742,52 @@ mod tests {
     }
 
     #[test]
+    fn served_point_probe_searches_log_chunks_runs() {
+        use tempora_core::ObjectId;
+        use tempora_storage::{BatchRecord, CHUNK_CAP};
+        let (db, clock) = served_db();
+        // 100 000 rows, valid times a scrambled permutation of the first
+        // 100 000 seconds: 97 sealed chunks and a tail.
+        let rows = 100_000_i64;
+        clock.set(Timestamp::from_secs(200_000));
+        for batch in (0..rows).collect::<Vec<_>>().chunks(10_000) {
+            let records = batch
+                .iter()
+                .map(|&i| {
+                    let object = ObjectId::new(u64::try_from(i % 64).unwrap());
+                    BatchRecord::new(object, Timestamp::from_secs(i * 7_919 % rows))
+                })
+                .collect();
+            let report = db.apply_batch("plant", records).expect("batch");
+            assert!(report.rejected.is_empty(), "{:?}", report.rejected.first());
+        }
+        let chunks = usize::try_from(rows).unwrap() / CHUNK_CAP;
+        let bound = chunks.ilog2() as usize + 1;
+        let runs_counter = || {
+            tempora_obs::snapshot()
+                .counter_labelled("tempora_query_runs_searched_total", "point-probe")
+                .unwrap_or(0)
+        };
+        for vt in [0, 12_345, 99_999] {
+            let request = format!("SELECT FROM plant AT {}", Timestamp::from_secs(vt));
+            // The read the dispatch runs: a fresh capture, queried.
+            let stats = db.db().latest_snapshot().query(&request).expect("query").stats;
+            assert_eq!((stats.strategy, stats.returned), ("point-probe", 1));
+            assert!(stats.runs <= bound, "{request}: {} runs over {chunks} chunks", stats.runs);
+            // Served: other tests in this binary run point probes
+            // concurrently, so a quiet attempt must advance the counter
+            // by at least one run and at most the bound.
+            let quiet = (0..200).any(|_| {
+                let before = runs_counter();
+                let (strategy, _, returned) = served_stats(&db, &request);
+                assert_eq!((strategy.as_str(), returned), ("point-probe", 1));
+                (1..=bound as u64).contains(&(runs_counter() - before))
+            });
+            assert!(quiet, "{request}: the runs counter never stayed within {bound}");
+        }
+    }
+
+    #[test]
     fn served_bounded_window_plans_stay_o_answer() {
         use tempora_core::ObjectId;
         use tempora_storage::CHUNK_CAP;
