@@ -583,8 +583,6 @@ pub enum ExecOutcome {
     Selected(QueryResult),
 }
 
-/// The alternate form (`{:#}`) formats a query's stats line the same way,
-/// so it shows the runs searched.
 impl fmt::Display for ExecOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -593,11 +591,7 @@ impl fmt::Display for ExecOutcome {
             ExecOutcome::Deleted(tt) => write!(f, "deleted at {tt}"),
             ExecOutcome::Updated(id) => write!(f, "updated; new element {id}"),
             ExecOutcome::Selected(result) => {
-                if f.alternate() {
-                    writeln!(f, "{:#}", result.stats)?;
-                } else {
-                    writeln!(f, "{}", result.stats)?;
-                }
+                writeln!(f, "{}", result.stats)?;
                 for e in &result.elements {
                     writeln!(f, "  {e}")?;
                     for (name, value) in &e.attrs {

@@ -11,10 +11,13 @@
 //!   relations) or a begin-sorted interval run with the chunk's longest
 //!   length (interval relations). Runs are built once when a chunk seals
 //!   and never touched by a delete, so one index serves every pinned read;
-//! * [`ValidRun`] spans — sealed chunk `i` (1-based) also keeps a
-//!   valid-time run merged over chunks `(i − lowbit(i), i]`, a Fenwick
-//!   layout, so a probe over `k` sealed chunks searches `popcount(k)`
-//!   runs, and any position range O(log chunks) runs, not one per chunk;
+//! * [`ValidRun`] spans — sealed chunk `i` (1-based) of an event relation
+//!   also keeps a point run merged over chunks `(i − lowbit(i), i]`, at
+//!   most [`MAX_SPAN_CHUNKS`] wide, a Fenwick layout, so
+//!   a point probe over `k` sealed chunks searches `popcount(k)` runs
+//!   below 128 chunks and one more per further 64, not one per chunk.
+//!   Interval runs keep no span, so one long interval widens the search
+//!   of its own chunk only;
 //! * [`tt_proxy`] — *the specialization payoff*: when a relation's declared
 //!   offset band bounds `vt − tt`, a valid-time predicate converts into a
 //!   transaction-time range on the (always-ordered) `tt` dimension, so a
@@ -30,5 +33,5 @@ mod runs;
 mod selector;
 pub mod tt_proxy;
 
-pub use runs::{ChunkRuns, RunProbe, ValidRun};
+pub use runs::{ChunkRuns, RunProbe, ValidRun, MAX_SPAN_CHUNKS};
 pub use selector::{select_index, IndexChoice};

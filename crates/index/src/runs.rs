@@ -16,15 +16,19 @@
 //!   run its stamping calls for: its offset band picks the chunks a
 //!   valid-time probe visits, and the runs over them find the rows.
 //!
-//! Sealed chunk `i` (1-based) also gets a **span run** when `lowbit(i) >
-//! 1`: one valid-time run over chunks `(i − lowbit(i), i]`, the layout of
-//! a Fenwick tree (Fenwick 1994). [`ChunkRuns::with_span`] builds it by
-//! merging the sorted runs that tile those chunks, with offsets counted
-//! from the span's first element; an interval span's longest length is
-//! the maximum over its chunks. So `k` sealed chunks are covered by
-//! `popcount(k)` runs, and a valid-time probe over a position range
-//! searches O(log chunks) runs of O(log chunk size) steps each instead of
-//! one run per chunk. Object runs get no spans.
+//! Sealed chunk `i` (1-based) with a point run also gets a **span run**
+//! when `span_width(i)`, the lowest set bit of `i` capped at
+//! [`MAX_SPAN_CHUNKS`], is above 1: one point run over chunks `(i −
+//! span_width(i), i]`, the layout of a Fenwick tree (Fenwick 1994).
+//! [`ChunkRuns::with_span`] builds it by merging the sorted runs that
+//! tile those chunks, with offsets counted from the span's first element.
+//! So `k` sealed chunks are covered by `⌊k / 64⌋ + popcount(k mod 64)`
+//! runs — `popcount(k)` below 128 chunks — and a point probe over a
+//! position range searches that many runs, plus one, of O(log chunk
+//! size) steps each instead of one run per chunk. Interval runs and
+//! object runs get no spans: an interval span would take the longest
+//! length of all its chunks, so one long interval would turn every stab
+//! of the span into a scan of its begins.
 //!
 //! The open chunk keeps no run: a reader filters its elements by the
 //! probe's key ([`RunProbe::selects`]), the same test a run answers. A
@@ -75,7 +79,22 @@ pub struct ChunkRuns {
     /// `None` when valid-time reads need no run (ordered relations), or a
     /// point run met an interval stamp it cannot key.
     valid: Option<ValidRun>,
+    /// The point run over the chunk's span, when [`Self::with_span`] could
+    /// merge one.
     span: Option<ValidRun>,
+}
+
+/// The most chunks one span covers. Sealing a chunk merges at most this
+/// many chunks' keys, so a seal's cost does not grow with the relation
+/// (uncapped, the seal of chunk 512 merged 512 chunks' keys in 22 ms on a
+/// 2-vCPU x86-64 Xeon), and span keys stay at most 3.5 times the point-run
+/// keys. The price is one more run per further 64 chunks in a probe.
+pub const MAX_SPAN_CHUNKS: usize = 64;
+
+/// How many chunks sealed chunk `i` (1-based) spans, ending at itself:
+/// the lowest set bit of `i`, at most [`MAX_SPAN_CHUNKS`].
+fn span_width(i: usize) -> usize {
+    (i & i.wrapping_neg()).min(MAX_SPAN_CHUNKS)
 }
 
 impl ChunkRuns {
@@ -125,41 +144,41 @@ impl ChunkRuns {
         }
     }
 
-    /// Adds the chunk's span run: one valid-time run over the elements of
-    /// `earlier` and then of this chunk, with offsets counted from the
-    /// first element `earlier` covers. `earlier` holds the valid-time
-    /// runs ([`Self::valid`] or [`Self::span`]) that tile the chunks just
-    /// before this one, in position order. The runs are already sorted, so
-    /// the span merges them, smallest first: a key is copied once per
-    /// doubling of the run it sits in, which is linear for runs whose
-    /// sizes double, as Fenwick-tree children do. The chunk stays without
-    /// a span when `earlier` is empty, or when this chunk or any run in
-    /// `earlier` is missing (`None`) or keyed differently.
+    /// Adds the span run of this chunk as sealed chunk `i` (1-based): one
+    /// point run over chunks `(i − span_width(i), i]`, with offsets counted
+    /// from the span's first element. The widest runs of the chunks before
+    /// `i` — [`Self::widest`] of each, which `widest` returns by chunk
+    /// number — tile the rest of the span, each at most half as wide as
+    /// the one before it. They are
+    /// already sorted, so the span merges them right to left: a key is
+    /// copied once per doubling of the run it sits in, which is linear.
+    /// The chunk stays without a span when it spans itself alone, or when
+    /// it or any chunk under the span keeps no point run for it.
     #[must_use]
-    pub fn with_span<'a>(self, earlier: impl IntoIterator<Item = Option<&'a ValidRun>>) -> Self {
-        let mut parts: Vec<Option<&ValidRun>> = earlier.into_iter().collect();
-        parts.push(self.valid());
-        let span = parts.into_iter().collect::<Option<Vec<_>>>().and_then(|parts| {
-            let [rest @ .., left, right] = &parts[..] else {
-                return None;
+    pub fn with_span<'a>(self, i: usize, widest: impl Fn(usize) -> Option<&'a ValidRun>) -> Self {
+        let mut span = None;
+        let mut j = i - 1;
+        while j > i - span_width(i) {
+            let right = span.as_ref().or(self.valid.as_ref());
+            let Some(merged) = widest(j).zip(right).and_then(|(left, right)| left.followed_by(right)) else {
+                return self;
             };
-            rest.iter()
-                .rev()
-                .try_fold(left.followed_by(right)?, |span, left| left.followed_by(&span))
-        });
+            span = Some(merged);
+            j -= span_width(j);
+        }
         ChunkRuns { span, ..self }
     }
 
-    /// The chunk's own valid-time run, if it keeps one.
+    /// The widest valid-time run of this chunk as sealed chunk `i`
+    /// (1-based): its span when `span_width(i) > 1`, else its own run.
+    /// `None` when it keeps no such run.
     #[must_use]
-    pub fn valid(&self) -> Option<&ValidRun> {
-        self.valid.as_ref()
-    }
-
-    /// The span run [`Self::with_span`] added, if any.
-    #[must_use]
-    pub fn span(&self) -> Option<&ValidRun> {
-        self.span.as_ref()
+    pub fn widest(&self, i: usize) -> Option<&ValidRun> {
+        if span_width(i) > 1 {
+            self.span.as_ref()
+        } else {
+            self.valid.as_ref()
+        }
     }
 
     /// Appends to `hits` the offsets, ascending, of exactly the elements
@@ -179,9 +198,9 @@ impl ChunkRuns {
     }
 }
 
-/// A sorted valid-time run over one chunk, or over the consecutive chunks
-/// of a span, keyed once per element; an offset counts from the first
-/// element the run covers.
+/// A sorted valid-time run over one chunk, or a point run over the
+/// consecutive chunks of a span, keyed once per element; an offset counts
+/// from the first element the run covers.
 #[derive(Debug)]
 pub struct ValidRun(ValidKeys);
 
@@ -194,14 +213,6 @@ enum ValidKeys {
 }
 
 impl ValidRun {
-    /// How many elements the run keys.
-    fn len(&self) -> usize {
-        match &self.0 {
-            ValidKeys::Point(run) => run.0.len(),
-            ValidKeys::Interval(run) => run.entries.len(),
-        }
-    }
-
     /// Appends to `hits` the offsets, ascending, of exactly the elements
     /// whose valid time meets a [`RunProbe::Valid`]. Returns `false`,
     /// adding nothing, for an object probe, which a valid-time run cannot
@@ -219,25 +230,15 @@ impl ValidRun {
         true
     }
 
-    /// The run over this run's elements followed by `right`'s, by one
-    /// linear merge; `None` when the two are keyed differently.
+    /// The point run over this run's elements followed by `right`'s, by
+    /// one linear merge; `None` unless both are point runs.
     fn followed_by(&self, right: &ValidRun) -> Option<ValidRun> {
-        let shift = u32::try_from(self.len()).expect("span offsets fit u32");
-        let keys = match (&self.0, &right.0) {
-            (ValidKeys::Point(left), ValidKeys::Point(right)) => {
-                let right = right.0.iter().map(|&(k, o)| (k, o + shift));
-                ValidKeys::Point(KeyRun(merge(&left.0, right)))
-            }
-            (ValidKeys::Interval(left), ValidKeys::Interval(right)) => {
-                let entries = right.entries.iter().map(|&(b, e, o)| (b, e, o + shift));
-                ValidKeys::Interval(IntervalRun {
-                    entries: merge(&left.entries, entries),
-                    max_len: left.max_len.max(right.max_len),
-                })
-            }
-            _ => return None,
+        let (ValidKeys::Point(left), ValidKeys::Point(right)) = (&self.0, &right.0) else {
+            return None;
         };
-        Some(ValidRun(keys))
+        let shift = u32::try_from(left.0.len()).expect("span offsets fit u32");
+        let right = right.0.iter().map(|&(k, o)| (k, o + shift));
+        Some(ValidRun(ValidKeys::Point(KeyRun(merge(&left.0, right)))))
     }
 }
 
@@ -446,28 +447,19 @@ mod tests {
         assert_eq!(probe(&runs, RunProbe::Object(ObjectId::new(0))), vec![0]);
     }
 
-    /// Spans over `chunks`, merged as a Fenwick tree merges them (the
-    /// widest runs of the earlier chunks, then the last chunk's own), and
-    /// checks every probe against brute force over the concatenation.
-    fn check_span(choice: IndexChoice, chunks: &[Vec<Element>], probes: &[RunProbe]) {
+    /// Seals `chunks` in order as a store does, each with its span, and
+    /// checks every probe of each span against brute force over the
+    /// chunks it covers. Returns the sealed runs.
+    fn check_span(choice: IndexChoice, chunks: &[Vec<Element>], probes: &[RunProbe]) -> Vec<ChunkRuns> {
         let mut built: Vec<ChunkRuns> = Vec::new();
         for (k, chunk) in chunks.iter().enumerate() {
             let i = k + 1;
-            let lowbit = i & i.wrapping_neg();
-            let mut earlier = Vec::new();
-            let mut j = i - 1;
-            while j > i - lowbit {
-                let runs = &built[j - 1];
-                earlier.push(if j & j.wrapping_neg() > 1 { runs.span() } else { runs.valid() });
-                j -= j & j.wrapping_neg();
-            }
-            earlier.reverse();
-            built.push(ChunkRuns::build(choice, chunk).with_span(earlier));
-            let Some(span) = built[k].span() else {
-                assert_eq!(lowbit, 1, "chunk {i} spans {lowbit} chunks");
+            let runs = ChunkRuns::build(choice, chunk).with_span(i, |j| built[j - 1].widest(j));
+            built.push(runs);
+            let Some(span) = built[k].span.as_ref() else {
                 continue;
             };
-            let covered: Vec<Element> = chunks[i - lowbit..i].concat();
+            let covered: Vec<Element> = chunks[i - span_width(i)..i].concat();
             for &p in probes {
                 let mut hits = Vec::new();
                 assert!(span.probe(p, &mut hits), "{p:?}");
@@ -475,10 +467,11 @@ mod tests {
             }
             assert!(!span.probe(RunProbe::Object(ObjectId::new(1)), &mut Vec::new()));
         }
+        built
     }
 
     #[test]
-    fn spans_merge_to_the_runs_of_their_chunks() {
+    fn point_spans_merge_to_the_runs_of_their_chunks() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         // Eight chunks of uneven sizes, so offsets shift by each left run's
         // length; duplicate keys across chunks, so ties keep position order.
@@ -489,46 +482,78 @@ mod tests {
             .collect();
         let mut probes: Vec<RunProbe> = (-45..45).map(|t| valid(t, t + 1)).collect();
         probes.extend([valid(-100, 100), valid(0, 10), valid(20, 5)]);
-        check_span(IndexChoice::PointIndex, &points, &probes);
-        check_span(IndexChoice::IntervalTree, &points, &probes);
-        // One long interval in one chunk: the span's longest length is the
-        // maximum over its chunks.
-        let intervals: Vec<Vec<Element>> = sizes
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| {
-                (0..n)
-                    .map(|i| {
-                        let b = rng.gen_range(-40..40);
-                        let len = if k == 2 && i == 0 { 500 } else { rng.gen_range(1..6) };
-                        interval(i, b, b + len)
+        let built = check_span(IndexChoice::PointIndex, &points, &probes);
+        for (k, runs) in built.iter().enumerate() {
+            assert_eq!(runs.span.is_some(), span_width(k + 1) > 1, "chunk {}", k + 1);
+        }
+    }
+
+    #[test]
+    fn spans_stop_at_max_span_chunks() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        // Past chunk 128, whose lowest bit is twice the cap, and chunk 192.
+        let points: Vec<Vec<Element>> = (0..200)
+            .map(|_| {
+                let n = rng.gen_range(1..4);
+                (0..n).map(|i| event(i, 1, rng.gen_range(-30..30))).collect()
+            })
+            .collect();
+        let probes = [valid(-5, -4), valid(0, 1), valid(-30, 30), valid(10, 20)];
+        let built = check_span(IndexChoice::PointIndex, &points, &probes);
+        for i in [64, 128, 192] {
+            assert_eq!(span_width(i), MAX_SPAN_CHUNKS, "chunk {i}");
+            assert!(built[i - 1].span.is_some(), "chunk {i}");
+        }
+    }
+
+    #[test]
+    fn interval_runs_get_no_span() {
+        // One interval reaching the end of time: a span over its chunk
+        // would give every stab of the span that interval's length.
+        let chunks: Vec<Vec<Element>> = (0..8)
+            .map(|k| {
+                (0..4)
+                    .map(|i| match (k, i) {
+                        (2, 0) => interval(i, 0, Timestamp::MAX.micros()),
+                        _ => interval(i, k * 10 + i as i64, k * 10 + i as i64 + 3),
                     })
                     .collect()
             })
             .collect();
-        check_span(IndexChoice::IntervalTree, &intervals, &probes);
+        let probes: Vec<RunProbe> = (-5..90).map(|t| valid(t, t + 1)).collect();
+        for choice in [IndexChoice::IntervalTree, IndexChoice::TtProxy(OffsetBand::ZERO)] {
+            let built = check_span(choice, &chunks, &probes);
+            for (k, runs) in built.iter().enumerate() {
+                let i = k + 1;
+                assert!(runs.span.is_none(), "{choice:?}: chunk {i} keeps a span");
+                assert_eq!(runs.widest(i).is_some(), span_width(i) == 1, "{choice:?}: chunk {i}");
+            }
+        }
     }
 
     #[test]
-    fn a_span_needs_a_valid_run_of_one_kind_in_every_chunk() {
+    fn a_span_needs_a_point_run_in_every_chunk() {
         let points = ChunkRuns::build(IndexChoice::PointIndex, [&event(0, 1, 5)]);
         let intervals = ChunkRuns::build(IndexChoice::IntervalTree, [&event(0, 1, 5)]);
         let unkeyed = ChunkRuns::build(IndexChoice::PointIndex, [&interval(0, 1, 5)]);
         let ordered = ChunkRuns::build(IndexChoice::AppendOrder, [&event(0, 1, 5)]);
+        // Chunk 2 spans chunks 1 and 2.
         let span = |last: IndexChoice, earlier: &ChunkRuns| {
             ChunkRuns::build(last, [&event(0, 1, 6)])
-                .with_span([earlier.valid()])
-                .span()
+                .with_span(2, |j| earlier.widest(j))
+                .widest(2)
                 .is_some()
         };
         assert!(span(IndexChoice::PointIndex, &points));
         assert!(!span(IndexChoice::IntervalTree, &points), "kinds differ");
         assert!(!span(IndexChoice::PointIndex, &intervals), "kinds differ");
+        assert!(!span(IndexChoice::IntervalTree, &intervals), "interval runs");
         assert!(!span(IndexChoice::PointIndex, &unkeyed), "no run to merge");
         assert!(!span(IndexChoice::PointIndex, &ordered), "no run to merge");
         assert!(!span(IndexChoice::AppendOrder, &points), "the chunk keeps none");
-        let alone = ChunkRuns::build(IndexChoice::PointIndex, [&event(0, 1, 6)]).with_span([]);
-        assert!(alone.span().is_none(), "a span of one chunk is its own run");
+        let alone = ChunkRuns::build(IndexChoice::PointIndex, [&event(0, 1, 6)]).with_span(3, |_| unreachable!());
+        assert!(alone.span.is_none(), "chunk 3 spans itself alone");
+        assert!(alone.widest(3).is_some(), "its own run is its widest");
     }
 
     #[test]

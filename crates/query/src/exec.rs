@@ -31,19 +31,13 @@ pub struct ExecStats {
     pub strategy: &'static str,
 }
 
-/// `<strategy>: examined <n> returned <m>`, the stats line of a served
-/// answer; the alternate form (`{:#}`) appends ` runs <k>`.
 impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{}: examined {} returned {}",
             self.strategy, self.examined, self.returned
-        )?;
-        if f.alternate() {
-            write!(f, " runs {}", self.runs)?;
-        }
-        Ok(())
+        )
     }
 }
 

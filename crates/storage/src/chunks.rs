@@ -16,26 +16,28 @@
 //! When a chunk seals, the key runs of [`tempora_index::ChunkRuns`] — an
 //! object run, plus a valid-time run where the relation's index choice
 //! asks for one — are built once from its elements and stored write-once
-//! on it. Sealed chunk `i` (1-based) with `lowbit(i) > 1` also stores a
-//! span: one valid-time run over chunks `(i − lowbit(i), i]`, merged from
-//! the runs of the chunks before it (a Fenwick layout). Spans are
-//! write-once too, so a capture still clones only the chunk list's
-//! [`Arc`]. Runs are never touched by a delete, so a copy-on-write copy
-//! shares them. The open tail keeps no run: a probe filters it by key.
+//! on it. Sealed chunk `i` (1-based) with a point run and `lowbit(i) > 1`
+//! also stores a span: one point run over chunks `(i − lowbit(i), i]`, at
+//! most [`MAX_SPAN_CHUNKS`] wide, merged from the runs of the chunks
+//! before it (a Fenwick layout). Spans are write-once too, so a capture
+//! still clones only the chunk list's [`Arc`]. Runs are never touched by
+//! a delete, so a copy-on-write copy shares them. The open tail keeps no
+//! run: a probe filters it by key.
 //!
 //! The result, [`ElementChunks`], is an immutable view that outlives any
 //! lock: snapshot queries execute against it without blocking ingest, and
 //! ingest never blocks them. The live store dereferences to the same view
 //! type, so live and pinned reads share one set of positional reads and
-//! one probe ([`ElementChunks::probe`]). A valid-time probe searches the
-//! spans that tile its range, so it costs O(log chunks · log
-//! [`CHUNK_CAP`] + tail + answer) rather than one search per chunk.
+//! one probe ([`ElementChunks::probe`]). A point probe searches the spans
+//! that tile its range, so it costs O((log chunks + chunks / 64) · log
+//! [`CHUNK_CAP`] + tail + answer) rather than one search per chunk;
+//! interval and object probes still search one run per chunk.
 
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 use tempora_core::Element;
-use tempora_index::{ChunkRuns, IndexChoice, RunProbe, ValidRun};
+use tempora_index::{ChunkRuns, IndexChoice, RunProbe, ValidRun, MAX_SPAN_CHUNKS};
 
 /// Elements per sealed chunk. Every sealed chunk holds exactly this many
 /// elements, so position ↔ (chunk, offset) is pure index math; only the
@@ -50,11 +52,6 @@ pub const CHUNK_CAP: usize = 1024;
 struct Chunk {
     slots: Box<[OnceLock<Element>]>,
     runs: OnceLock<Arc<ChunkRuns>>,
-}
-
-/// The lowest set bit of `i`: chunk `i` (1-based) spans that many chunks.
-fn lowbit(i: usize) -> usize {
-    i & i.wrapping_neg()
 }
 
 /// The element in a slot below a view's length.
@@ -120,17 +117,9 @@ impl ChunkedElements {
         );
         self.view.len += 1;
         if offset + 1 == CHUNK_CAP {
-            // Chunk `i` (1-based) spans `(i − lowbit(i), i]`: the widest
-            // runs of the chunks before it tile the rest of that span.
             let i = self.view.chunks.len();
-            let mut earlier = Vec::new();
-            let mut j = i - 1;
-            while j > i - lowbit(i) {
-                earlier.push(self.view.widest(j));
-                j -= lowbit(j);
-            }
-            earlier.reverse();
-            let runs = ChunkRuns::build(self.choice, tail.slots.iter().map(filled)).with_span(earlier);
+            let runs = ChunkRuns::build(self.choice, tail.slots.iter().map(filled))
+                .with_span(i, |j| self.view.widest(j));
             assert!(tail.runs.set(Arc::new(runs)).is_ok(), "chunk sealed twice");
         }
     }
@@ -259,53 +248,55 @@ impl ElementChunks {
     /// `range` whose key `probe` selects, and returns how many sorted runs
     /// it searched.
     ///
-    /// A valid-time probe covers the whole chunks below the range's end
-    /// with the spans that tile them, one per set bit of their count,
-    /// widest first. It skips the spans that end at or before the range's
-    /// first chunk and probes the rest; the first it probes may start
-    /// below the range, so its hits are clipped. An object probe, or a
-    /// span some chunk under it could not key, probes chunk by chunk
-    /// instead. Past the whole chunks, a sealed chunk with a run for the
-    /// probe is probed and its hits clipped to the range, and any other
-    /// chunk — the open tail, or a relation that keeps no such run — is
-    /// filtered by key within the range. So a valid-time probe searches
-    /// at most ⌊log₂ chunks⌋ + 2 runs and costs O(log chunks ·
-    /// log [`CHUNK_CAP`] + tail + answer). `visit` still applies the
-    /// query's predicate at its pin.
+    /// The walk covers the whole chunks below the range's end with the
+    /// spans that tile them, widest first: one per [`MAX_SPAN_CHUNKS`]
+    /// chunks, then one per set bit of the remainder. It starts at the
+    /// last multiple of [`MAX_SPAN_CHUNKS`] chunks at or below the range's
+    /// first chunk, skips the spans that end at or before that chunk, and
+    /// probes the rest; the first it probes may start below the range,
+    /// so its hits are clipped. Where a span cannot answer — an object or
+    /// interval probe, or a chunk under it without a point run — it probes
+    /// the span's chunks one by one instead. Past the whole chunks, a
+    /// sealed chunk with a run for the probe is probed and its hits
+    /// clipped to the range, and any other chunk — the open tail, or a
+    /// relation that keeps no such run — is filtered by key within the
+    /// range. So a point probe searches at most ⌊log₂ chunks⌋ + 2 runs
+    /// below 128 chunks and one more per further 64, for a cost of
+    /// O((log chunks + chunks / 64) · log [`CHUNK_CAP`] + tail + answer).
+    /// `visit` still applies the query's predicate at its pin.
     pub fn probe<'a>(&'a self, range: Range<usize>, probe: RunProbe, mut visit: impl FnMut(&'a Element)) -> usize {
         let end = range.end.min(self.len);
         let start = range.start.min(end);
         let (first, whole) = (start / CHUNK_CAP, end / CHUNK_CAP);
         let mut hits = Vec::new();
         let mut runs = 0;
-        let mut next_chunk = first;
-        if matches!(probe, RunProbe::Valid { .. }) {
-            // `p` is the chunk count the spans so far have covered: the
-            // high bits of `whole`, so the span ending at chunk `p + width`
-            // (1-based) is exactly `width` chunks wide.
-            let mut p = 0;
-            while p < whole {
-                let width = 1 << (whole - p).ilog2();
-                if p + width > first {
-                    if let Some(span) = self.widest(p + width) {
-                        hits.clear();
-                        span.probe(probe, &mut hits);
+        // `p` is the chunk count the spans so far have covered: a multiple
+        // of the widest span, then the high bits of the rest of `whole`,
+        // so the span ending at chunk `p + width` (1-based) is exactly
+        // `width` chunks wide.
+        let mut p = first - first % MAX_SPAN_CHUNKS;
+        while p < whole {
+            let width = (1 << (whole - p).ilog2()).min(MAX_SPAN_CHUNKS);
+            if p + width > first {
+                hits.clear();
+                match self.widest(p + width) {
+                    Some(span) if span.probe(probe, &mut hits) => {
                         runs += 1;
                         let base = p * CHUNK_CAP;
                         hits[hits.partition_point(|&o| base + o < start)..]
                             .iter()
                             .for_each(|&o| visit(self.at(base + o)));
-                    } else {
+                    }
+                    _ => {
                         for c in p.max(first)..p + width {
                             runs += self.probe_chunk(c, start..end, probe, &mut hits, &mut visit);
                         }
                     }
                 }
-                p += width;
             }
-            next_chunk = whole;
+            p += width;
         }
-        for c in next_chunk..end.div_ceil(CHUNK_CAP) {
+        for c in whole..end.div_ceil(CHUNK_CAP) {
             runs += self.probe_chunk(c, start..end, probe, &mut hits, &mut visit);
         }
         runs
@@ -344,17 +335,11 @@ impl ElementChunks {
         }
     }
 
-    /// The widest valid-time run sealed chunk `i` (1-based) keeps: its
-    /// span over chunks `(i − lowbit(i), i]`, or its own run when that
-    /// range is the chunk alone. `None` when the chunk is not sealed or
+    /// The widest valid-time run sealed chunk `i` (1-based) keeps (see
+    /// [`ChunkRuns::widest`]). `None` when the chunk is not sealed or
     /// keeps no such run.
     fn widest(&self, i: usize) -> Option<&ValidRun> {
-        let runs = self.chunks[i - 1].runs.get()?;
-        if lowbit(i) > 1 {
-            runs.span()
-        } else {
-            runs.valid()
-        }
+        self.chunks[i - 1].runs.get()?.widest(i)
     }
 
     /// The element at a global position below the length.
@@ -667,17 +652,11 @@ mod tests {
     }
 
     #[test]
-    fn span_walk_matches_filtered_range_over_many_chunks() {
-        for choice in [IndexChoice::PointIndex, IndexChoice::IntervalTree] {
-            span_walk_matches_filtered_range(choice);
-        }
-    }
-
     #[allow(clippy::reversed_empty_ranges)] // an inverted range is an input
-    fn span_walk_matches_filtered_range(choice: IndexChoice) {
+    fn span_walk_matches_filtered_range_over_many_chunks() {
         let (cap, sealed) = (CHUNK_CAP, 97);
         let n = sealed * cap + 300;
-        let mut c = ChunkedElements::with_index(choice);
+        let mut c = ChunkedElements::with_index(IndexChoice::PointIndex);
         (0..n).for_each(|i| c.push(keyed(i)));
         let tail = sealed * cap;
         let ranges = [
@@ -727,6 +706,80 @@ mod tests {
         for k in 0..=sealed {
             let runs = probe_checked(&c, 0..k * cap, at);
             assert!(runs <= k.count_ones() as usize, "{runs} runs over {k} chunks");
+        }
+    }
+
+    #[test]
+    fn capped_spans_tile_long_prefixes() {
+        // 200 sealed chunks: chunk 128 spans 64 chunks, not 128, so a
+        // prefix past 128 chunks searches one run per 64 chunks and one per
+        // set bit of the rest.
+        let (cap, sealed) = (CHUNK_CAP, 200);
+        let n = sealed * cap + 40;
+        let mut c = ChunkedElements::with_index(IndexChoice::PointIndex);
+        (0..n).for_each(|i| c.push(keyed(i)));
+        let at = RunProbe::Valid {
+            from: Timestamp::from_secs(93),
+            to: Timestamp::from_secs(94),
+        };
+        for k in [1, 63, 64, 65, 127, 128, 129, 150, 191, 192, 193, 199, 200] {
+            let runs = probe_checked(&c, 0..k * cap, at);
+            let tiles = k / MAX_SPAN_CHUNKS + (k % MAX_SPAN_CHUNKS).count_ones() as usize;
+            assert_eq!(runs, tiles, "{runs} runs over {k} chunks");
+        }
+        // A range starting past the first 64-chunk spans, and straddling
+        // a span edge.
+        for range in [130 * cap + 7..n, 127 * cap + 1..193 * cap - 1, 190 * cap..200 * cap] {
+            for p in keyed_probes() {
+                let runs = probe_checked(&c, range.clone(), p);
+                if matches!(p, RunProbe::Valid { .. }) {
+                    assert!(runs <= 8, "{p:?} over {range:?}: {runs} runs");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_open_ended_interval_widens_only_its_own_chunk() {
+        // 70 sealed chunks of one-second intervals and a partial tail; the
+        // third element reaches the end of time. Interval runs keep no
+        // span, so every stab searches each sealed chunk's own run, and
+        // only chunk 0's run has that interval's length.
+        let (cap, sealed) = (CHUNK_CAP, 70);
+        let n = sealed * cap + 300;
+        let element = |i: usize| {
+            let begin = Timestamp::from_secs(i as i64);
+            let end = if i == 2 { Timestamp::MAX } else { Timestamp::from_secs(i as i64 + 1) };
+            Element::new(
+                ElementId::new(i as u64),
+                ObjectId::new(i as u64 % 7),
+                ValidTime::Interval(tempora_time::Interval::new(begin, end).unwrap()),
+                Timestamp::from_secs(i as i64),
+            )
+        };
+        let mut c = ChunkedElements::with_index(IndexChoice::IntervalTree);
+        (0..n).for_each(|i| c.push(element(i)));
+        // Odd chunks span themselves alone: their widest run is their own.
+        for i in 1..=sealed {
+            assert_eq!(c.widest(i).is_some(), i % 2 == 1, "chunk {i}");
+        }
+        for t in [0, 2, 3, cap, 64 * cap + 5, n - 1, n + 10] {
+            let stab = RunProbe::Valid {
+                from: Timestamp::from_secs(t as i64),
+                to: Timestamp::from_secs(t as i64 + 1),
+            };
+            for range in [0..n, 64 * cap..n, 3..5 * cap + 1] {
+                let mut got = Vec::new();
+                let runs = c.probe(range.clone(), stab, |e| got.push(e.id.raw()));
+                let brute: Vec<u64> = c
+                    .range(range.clone())
+                    .filter(|e| stab.selects(e))
+                    .map(|e| e.id.raw())
+                    .collect();
+                assert_eq!(got, brute, "stab at {t} over {range:?}");
+                let chunks = range.start / cap..range.end.min(sealed * cap).div_ceil(cap);
+                assert_eq!(runs, chunks.len(), "stab at {t} over {range:?}");
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! tempora> INSERT INTO plant OBJECT 7 VALID 1992-02-12T08:58:00 SET temperature = 19.5
 //! inserted e0
 //! tempora> SELECT FROM plant AT 1992-02-12T08:58:00
-//! point-probe: examined 1 returned 1 runs 0
+//! point-probe: examined 1 returned 1
 //!   e0[o7] vt=1992-02-12T08:58:00 tt=[…]
 //! ```
 //!
@@ -59,11 +59,11 @@ impl Session {
         match self {
             Session::Volatile(db) => db
                 .execute(statement)
-                .map(|o| format!("{o:#}"))
+                .map(|o| o.to_string())
                 .map_err(|e| e.to_string()),
             Session::Durable(db) => db
                 .execute(statement)
-                .map(|o| format!("{o:#}"))
+                .map(|o| o.to_string())
                 .map_err(|e| e.to_string()),
             Session::Remote(client) => forward(client, statement),
         }
